@@ -145,9 +145,10 @@ def _encoded_from_payload(args, payload: bytes) -> EncodedFile:
     code = _build_code(args.code, params, field)
     symbols = payload_to_symbols(field, payload)
     B = code.B
-    stripes = (len(symbols) + B - 1) // B
-    padded = symbols + [0] * (stripes * B - len(symbols))
-    data = np.array(padded, dtype=field.np_dtype).reshape(stripes, B).T
+    stripes = -(-symbols.size // B)
+    padded = np.zeros(stripes * B, dtype=field.np_dtype)
+    padded[: symbols.size] = symbols
+    data = padded.reshape(stripes, B).T
     if args.code == MSRR:
         body = bulk.msrr_encode_stripes(code, data).T
     else:
@@ -155,8 +156,7 @@ def _encoded_from_payload(args, payload: bytes) -> EncodedFile:
     return EncodedFile(
         code_type=args.code,
         params=params,
-        field_kind=field.kind,
-        field_modulus=field.modulus,
+        field=field,
         body=body,
         payload_len=len(payload),
     )
@@ -177,7 +177,7 @@ def cmd_encode(args) -> int:
                         "u": ef.params.u,
                         "k": ef.params.k,
                         "dbar": ef.params.dbar,
-                        "field": ef.field_kind,
+                        "field": ef.field.kind,
                         "stripes": ef.stripes,
                         "payload_bytes": ef.payload_len,
                     },
@@ -195,11 +195,12 @@ def _load_encoded(path: str) -> EncodedFile:
 def cmd_repair(args) -> int:
     ef = _load_encoded(args.encoded)
     p = ef.params
-    field = ef.field()
+    field = ef.field
     code = _build_code(ef.code_type, p, field)
     e_star, g_star = _parse_node(args.failed)
     idx = p.node_index(e_star, g_star)
-    body_t = ef.body.T.copy()
+    body = ef.body.copy()
+    body_t = body.T
     alpha = ef.alpha
     if p.dbar == 0:
         helper_racks: list[int] = []
@@ -216,9 +217,8 @@ def cmd_repair(args) -> int:
     out = EncodedFile(
         code_type=ef.code_type,
         params=p,
-        field_kind=ef.field_kind,
-        field_modulus=ef.field_modulus,
-        body=body_t.T,
+        field=field,
+        body=body,
         payload_len=ef.payload_len,
     )
     Path(args.output).write_bytes(serialize_encoded(out))
@@ -249,7 +249,7 @@ def cmd_repair(args) -> int:
 def cmd_reconstruct(args) -> int:
     ef = _load_encoded(args.encoded)
     p = ef.params
-    field = ef.field()
+    field = ef.field
     code = _build_code(ef.code_type, p, field)
     nodes = sorted(set(_parse_int_list(args.nodes)))
     body_t = ef.body.T
@@ -259,8 +259,7 @@ def cmd_reconstruct(args) -> int:
         data = bulk.msrr_reconstruct_stripes(code, nodes, rows)
     else:
         data = bulk.mbrr_reconstruct_stripes(code, nodes, rows)
-    symbols = data.T.reshape(-1)
-    payload = symbols_to_payload(field, (int(s) for s in symbols), ef.payload_len)
+    payload = symbols_to_payload(field, data.T.reshape(-1), ef.payload_len)
     Path(args.output).write_bytes(payload)
     sys.stdout.write(
         render_records(

@@ -17,14 +17,15 @@ given cluster shape.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ParameterError
 
 #: x^8 + x^4 + x^3 + x^2 + 1, a standard irreducible modulus for GF(2^8).
 GF256_MODULUS = 0x11D
+
+#: Outputs per pass of the prime-field matmul: 2 MiB of float64.
+_PRIME_SLICE = 1 << 18
 
 
 def _gf2_mul(a: int, b: int) -> int:
@@ -237,11 +238,19 @@ class Gf256Field(FieldSpec):
         return self._mul_table[np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)]
 
     def np_matmul(self, a, b):
+        # Walk only the nonzero entries of each row of ``a``: a 1 is a plain
+        # XOR of the matching row of ``b``, any other constant c one lookup
+        # in the product-table row of c.
         a = np.asarray(a, dtype=np.uint8)
-        b = np.asarray(b, dtype=np.uint8)
+        b = np.ascontiguousarray(b, dtype=np.uint8)
+        table = self._mul_table
         out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-        for j in range(a.shape[1]):
-            out ^= self._mul_table[a[:, j][:, None], b[j, :][None, :]]
+        for acc, row in zip(out, a.tolist()):
+            for j, c in enumerate(row):
+                if c == 1:
+                    np.bitwise_xor(acc, b[j], out=acc)
+                elif c:
+                    np.bitwise_xor(acc, table[c].take(b[j]), out=acc)
         return out
 
     def __repr__(self):
@@ -295,9 +304,24 @@ class PrimeField(FieldSpec):
         return out.astype(self.np_dtype)
 
     def np_matmul(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        return ((a @ b) % self.q).astype(self.np_dtype)
+        # float64 holds every integer up to 2**53 exactly, so BLAS sums a
+        # block of at most 2**53 // (p-1)**2 symbol products without
+        # rounding; each block sum is then reduced in int64.  Columns go
+        # through in slices of about _PRIME_SLICE outputs, which bounds the
+        # float64 and int64 temporaries.
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b)
+        block = max(1, (1 << 53) // (self.q - 1) ** 2)
+        width = max(1, _PRIME_SLICE // max(1, a.shape[0]))
+        out = np.empty((a.shape[0], b.shape[1]), dtype=self.np_dtype)
+        for c in range(0, b.shape[1], width):
+            cols = b[:, c : c + width].astype(np.float64)
+            acc = np.zeros((a.shape[0], cols.shape[1]), dtype=np.int64)
+            for s in range(0, a.shape[1], block):
+                acc += (a[:, s : s + block] @ cols[s : s + block]).astype(np.int64)
+                acc %= self.q
+            out[:, c : c + width] = acc
+        return out
 
     def __repr__(self):
         return f"PrimeField(p={self.q}, u={self.u})"
@@ -371,19 +395,3 @@ def eval_points(field: FieldSpec, nbar: int) -> list[int]:
         )
     return lam
 
-
-def serialize_symbols(field: FieldSpec, symbols: Sequence[int]) -> bytes:
-    """Little-endian fixed-width packing per the symbol width rule."""
-    arr = np.asarray(symbols)
-    if arr.size and (arr.min() < 0 or arr.max() >= field.q):
-        raise ParameterError("symbol out of field range")
-    dtype = "<u1" if field.symbol_width == 1 else "<u2"
-    return arr.astype(dtype).tobytes()
-
-
-def deserialize_symbols(field: FieldSpec, data: bytes) -> list[int]:
-    dtype = "<u1" if field.symbol_width == 1 else "<u2"
-    arr = np.frombuffer(data, dtype=dtype)
-    if arr.size and arr.max() >= field.q:
-        raise ParameterError("serialized symbol out of field range")
-    return [int(v) for v in arr]

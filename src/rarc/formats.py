@@ -47,8 +47,7 @@ class EncodedFile:
 
     code_type: str
     params: SystemParams
-    field_kind: str
-    field_modulus: int
+    field: FieldSpec  # the field the file was parsed or encoded with
     body: np.ndarray  # (stripes, n * alpha)
     payload_len: int
 
@@ -60,9 +59,6 @@ class EncodedFile:
     def stripes(self) -> int:
         return self.body.shape[0]
 
-    def field(self) -> FieldSpec:
-        return field_from_descriptor(self.field_kind, self.field_modulus, self.params.u)
-
 
 def serialize_encoded(ef: EncodedFile) -> bytes:
     header = _HEADER.pack(
@@ -73,12 +69,12 @@ def serialize_encoded(ef: EncodedFile) -> bytes:
         ef.params.u,
         ef.params.k,
         ef.params.dbar,
-        _FIELD_IDS[ef.field_kind],
-        ef.field_modulus,
+        _FIELD_IDS[ef.field.kind],
+        ef.field.modulus,
     )
-    width = "<u1" if ef.field().symbol_width == 1 else "<u2"
-    body = np.ascontiguousarray(ef.body).astype(width).tobytes()
-    return header + body + _TRAILER.pack(ef.payload_len)
+    width = "<u1" if ef.field.symbol_width == 1 else "<u2"
+    body = np.ascontiguousarray(ef.body, dtype=width)
+    return b"".join((header, body, _TRAILER.pack(ef.payload_len)))
 
 
 def parse_encoded(data: bytes) -> EncodedFile:
@@ -98,29 +94,27 @@ def parse_encoded(data: bytes) -> EncodedFile:
     except ParameterError as exc:
         raise FormatError(f"invalid header parameters: {exc}") from exc
     code_type = _CODE_NAMES[code_id]
-    field_kind = _FIELD_NAMES[field_id]
     try:
-        field = field_from_descriptor(field_kind, modulus, u)
+        field = field_from_descriptor(_FIELD_NAMES[field_id], modulus, u)
     except ParameterError as exc:
         raise FormatError(f"invalid field descriptor: {exc}") from exc
     alpha = 1 if code_type == MSRR else dbar
     if code_type == MBRR and dbar < 1:
         raise FormatError("array-code file with dbar=0")
     (payload_len,) = _TRAILER.unpack_from(data, len(data) - _TRAILER.size)
-    raw = data[_HEADER.size : len(data) - _TRAILER.size]
+    body_len = len(data) - _HEADER.size - _TRAILER.size
     width = field.symbol_width
     record = n * alpha * width
-    if record == 0 or len(raw) % record != 0:
+    if record == 0 or body_len % record != 0:
         raise FormatError("body length is not a whole number of stripes")
     dtype = "<u1" if width == 1 else "<u2"
-    body = np.frombuffer(raw, dtype=dtype).reshape(-1, n * alpha)
+    body = np.frombuffer(data, dtype, body_len // width, _HEADER.size).reshape(-1, n * alpha)
     if body.size and int(body.max()) >= field.q:
         raise FormatError("body symbol out of field range")
     return EncodedFile(
         code_type=code_type,
         params=params,
-        field_kind=field_kind,
-        field_modulus=modulus,
+        field=field,
         body=body,
         payload_len=payload_len,
     )
@@ -129,7 +123,7 @@ def parse_encoded(data: bytes) -> EncodedFile:
 # -- payload <-> symbol packing ----------------------------------------------
 
 
-def payload_to_symbols(field: FieldSpec, payload: bytes) -> list[int]:
+def payload_to_symbols(field: FieldSpec, payload: bytes) -> np.ndarray:
     """Reversible injection of bytes into field symbols.
 
     GF(256) and primes above 256 take one byte per symbol.  For primes
@@ -137,50 +131,65 @@ def payload_to_symbols(field: FieldSpec, payload: bytes) -> list[int]:
     (p-1, b-(p-1)), which requires p >= 131 so the second symbol fits.
     """
     q = field.q
-    if q == 256 or q > 256:
-        return list(payload)
+    data = np.frombuffer(payload, dtype=np.uint8)
+    if q >= 256:
+        return data.astype(field.np_dtype)
     if q < 131:
         raise ParameterError(
             f"prime field p={q} is too small for byte packing (needs p >= 131)"
         )
     escape = q - 1
-    out: list[int] = []
-    for b in payload:
-        if b < escape:
-            out.append(b)
-        else:
-            out.append(escape)
-            out.append(b - escape)
+    high = data >= escape
+    counts = 1 + high
+    out = np.repeat(data, counts)
+    # index of the first symbol of every escaped byte
+    first = (np.cumsum(counts) - 2)[high]
+    out[first] = escape
+    out[first + 1] -= escape
     return out
 
 
-def symbols_to_payload(field: FieldSpec, symbols: Iterable[int], payload_len: int) -> bytes:
-    """Inverse of ``payload_to_symbols``; trailing padding is ignored."""
+def symbols_to_payload(field: FieldSpec, symbols: np.ndarray, payload_len: int) -> bytes:
+    """Inverse of ``payload_to_symbols``; symbols after the payload's last
+    byte (stripe padding) are ignored.  A stream that no payload packs to
+    raises ``FormatError``."""
     q = field.q
-    out = bytearray()
+    symbols = np.asarray(symbols).reshape(-1)
     if q >= 256:
-        for s in symbols:
-            if len(out) == payload_len:
-                break
-            if s > 0xFF:
-                raise FormatError(f"symbol {s} is not a byte")
-            out.append(s)
-    else:
-        escape = q - 1
-        pending_escape = False
-        for s in symbols:
-            if len(out) == payload_len:
-                break
-            if pending_escape:
-                out.append(escape + s)
-                pending_escape = False
-            elif s == escape:
-                pending_escape = True
-            else:
-                out.append(s)
-    if len(out) < payload_len:
-        raise FormatError(f"payload truncated: expected {payload_len} bytes, got {len(out)}")
-    return bytes(out)
+        head = symbols[:payload_len]
+        if head.size < payload_len:
+            raise FormatError(
+                f"payload truncated: expected {payload_len} bytes, got {head.size}"
+            )
+        if head.size and (head.min() < 0 or head.max() > 0xFF):
+            raise FormatError("symbol is not a byte")
+        return head.astype(np.uint8).tobytes()
+    escape = q - 1
+    # A symbol right after an escape is the second half of a pair.  Read
+    # this way, the stream parses as written up to its first escape that
+    # is followed by another escape, which the checks below reject.
+    start = np.ones(symbols.size, dtype=bool)
+    start[1:] = symbols[:-1] != escape
+    starts = np.flatnonzero(start)[:payload_len]
+    lead = symbols[starts]
+    escaped = lead == escape
+    pairs = starts[escaped]
+    if pairs.size and pairs[-1] + 1 == symbols.size:
+        raise FormatError("escape symbol ends the symbol stream")
+    tail = symbols[pairs + 1]
+    if (tail == escape).any():
+        raise FormatError("escape symbol followed by another escape")
+    if lead.size and (lead.min() < 0 or lead.max() > escape):
+        raise FormatError("symbol out of field range")
+    if tail.size and (tail.min() < 0 or tail.max() > 0xFF - escape):
+        raise FormatError("escape pair does not encode a byte")
+    if starts.size < payload_len:
+        raise FormatError(
+            f"payload truncated: expected {payload_len} bytes, got {starts.size}"
+        )
+    out = lead.astype(np.uint8)
+    out[escaped] += tail.astype(np.uint8)
+    return out.tobytes()
 
 
 # -- structured-text reports ----------------------------------------------------

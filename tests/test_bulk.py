@@ -3,10 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rarc import bulk
 from rarc.errors import VerificationError
-from rarc.field import make_field
+from rarc.field import Gf256Field, PrimeField, make_field
 from rarc.mbrr import MbrrCode, pack_message
 from rarc.msrr import MsrrCode
 from rarc.params import SystemParams
@@ -136,3 +138,41 @@ def test_mbrr_batch_repair_every_node_and_helper_set():
         for helpers in itertools.combinations(others, p.dbar):
             got = bulk.mbrr_repair_stripes(code, (e_star, g_star), list(helpers), body)
             assert np.array_equal(got, body[idx * p.dbar : (idx + 1) * p.dbar, :])
+
+
+ORACLE_PARAMS = [
+    (SystemParams(n=10, u=5, k=8, dbar=1), Gf256Field(5)),
+    (SystemParams(n=12, u=4, k=9, dbar=2), PrimeField(137, 4)),
+]
+ORACLE_CODES = [
+    code for p, f in ORACLE_PARAMS for code in (MsrrCode.build(p, f), MbrrCode.build(p, f))
+]
+
+
+@st.composite
+def encode_case(draw):
+    code = draw(st.sampled_from(ORACLE_CODES))
+    stripes = draw(st.integers(0, 6))
+    symbol = st.one_of(st.sampled_from([0, 1]), st.integers(0, code.field.q - 1))
+    flat = draw(st.lists(symbol, min_size=code.B * stripes, max_size=code.B * stripes))
+    return code, np.array(flat, dtype=code.field.np_dtype).reshape(code.B, stripes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(encode_case())
+def test_bulk_encode_columns_match_scalar_encode(case):
+    code, data = case
+    p = code.params
+    if isinstance(code, MsrrCode):
+        body = bulk.msrr_encode_stripes(code, data)
+    else:
+        body = bulk.mbrr_encode_stripes(code, data)
+    assert body.shape[1] == data.shape[1]
+    for s in range(data.shape[1]):
+        stripe = [int(v) for v in data[:, s]]
+        if isinstance(code, MsrrCode):
+            expected = code.encode(stripe)
+        else:
+            C = code.encode(pack_message(p, stripe))
+            expected = [C.at(i, node) for node in range(p.n) for i in range(p.dbar)]
+        assert body[:, s].tolist() == expected

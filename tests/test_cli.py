@@ -3,10 +3,15 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from rarc import bulk
 from rarc.cli import main
-from rarc.formats import parse_report
+from rarc.field import PrimeField
+from rarc.formats import EncodedFile, parse_report, serialize_encoded
+from rarc.msrr import MsrrCode
+from rarc.params import SystemParams
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +220,28 @@ def test_reconstruct_needs_k_nodes(tmp_path, capsys):
     )
     rc, _, err = run_cli(capsys, "reconstruct", "--nodes", "0-6", str(enc), str(tmp_path / "o"))
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "p,stream,payload_len",
+    [
+        (131, [1, 2, 3, 4, 5, 130], 6),  # an escape is the body's last symbol
+        (131, [5, 130, 130, 0, 0, 0], 3),  # an escape followed by an escape
+        (131, [130, 126, 0, 0, 0, 0], 1),  # an escape pair above 255
+        (307, [7, 300, 0, 0, 0, 0], 2),  # a two-byte symbol above 255
+    ],
+)
+def test_reconstruct_rejects_symbols_no_payload_packs_to(tmp_path, capsys, p, stream, payload_len):
+    # a consistent codeword whose data symbols decode to no byte string
+    field = PrimeField(p, 2)
+    code = MsrrCode.build(SystemParams(n=6, u=2, k=4, dbar=1), field)  # B = 3
+    data = np.array(stream, dtype=field.np_dtype).reshape(-1, code.B).T
+    body = bulk.msrr_encode_stripes(code, data).T
+    enc = tmp_path / "hostile.rarc"
+    enc.write_bytes(serialize_encoded(EncodedFile("msrr", code.params, field, body, payload_len)))
+    rc, _, err = run_cli(capsys, "reconstruct", "--nodes", "0-5", str(enc), str(tmp_path / "o"))
+    assert rc == 1
+    assert err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rarc.errors import ParameterError
 from rarc.field import (
     GF256_MODULUS,
     Gf256Field,
+    PrimeField,
     derive_eta,
-    deserialize_symbols,
     eval_points,
     field_from_descriptor,
     find_primitive,
     make_field,
     multiplicative_order,
-    serialize_symbols,
     smallest_prime_field,
 )
 
@@ -236,20 +237,6 @@ def test_symbol_width_rule():
     assert make_field(300, 2, "prime").symbol_width == 2  # p = 307
 
 
-def test_symbol_serialization_round_trip():
-    for f in (make_field(50, 5, "gf256"), make_field(300, 2, "prime")):
-        rng = random.Random(3)
-        symbols = [rng.randrange(f.q) for _ in range(64)]
-        blob = serialize_symbols(f, symbols)
-        assert len(blob) == 64 * f.symbol_width
-        assert deserialize_symbols(f, blob) == symbols
-
-
-def test_serialization_is_little_endian():
-    f = make_field(300, 2, "prime")
-    assert serialize_symbols(f, [258]) == b"\x02\x01"
-
-
 def test_field_from_descriptor_round_trip():
     for f in (make_field(50, 5, "gf256"), make_field(6, 2, "prime")):
         g = field_from_descriptor(f.kind, f.modulus, f.u)
@@ -276,3 +263,43 @@ def test_np_kernels_match_scalar_ops():
         assert [int(v) for v in f.np_add(a, b)] == [f.add(x, y) for x, y in zip(a, b)]
         assert [int(v) for v in f.np_mul(a, b)] == [f.mul(x, y) for x, y in zip(a, b)]
         assert [int(v) for v in f.np_neg(a)] == [f.neg(int(x)) for x in a]
+
+
+# GF(256), the two escape-path primes of byte packing, and a two-byte prime
+KERNEL_FIELDS = [Gf256Field(5), PrimeField(131, 2), PrimeField(137, 4), PrimeField(307, 2)]
+
+
+@st.composite
+def matmul_case(draw):
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    m, k, n = draw(st.integers(0, 6)), draw(st.integers(0, 8)), draw(st.integers(0, 7))
+    # 0 and 1 are the entries the GF(256) kernel special-cases
+    entry = st.one_of(st.sampled_from([0, 1]), st.integers(0, f.q - 1))
+
+    def matrix(rows, cols):
+        flat = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=f.np_dtype).reshape(rows, cols)
+
+    a, b = matrix(m, k), matrix(k, n)
+    if m and draw(st.booleans()):
+        a[draw(st.integers(0, m - 1)), :] = 0
+    if k and draw(st.booleans()):
+        a[:, draw(st.integers(0, k - 1))] = 0
+    return f, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(matmul_case())
+def test_np_matmul_matches_scalar_triple_loop(case):
+    f, a, b = case
+    m, k = a.shape
+    n = b.shape[1]
+    expected = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            for t in range(k):
+                expected[i][j] = f.add(expected[i][j], f.mul(int(a[i, t]), int(b[t, j])))
+    got = f.np_matmul(a, b)
+    assert got.shape == (m, n)
+    assert got.dtype == f.np_dtype
+    assert got.tolist() == expected

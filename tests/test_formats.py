@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rarc.errors import FormatError, ParameterError
-from rarc.field import make_field
+from rarc.field import Gf256Field, PrimeField, make_field
 from rarc.formats import (
     EncodedFile,
     format_thousandths,
@@ -35,8 +37,7 @@ def sample_encoded(code_type="msrr", field_kind="gf256"):
     return EncodedFile(
         code_type=code_type,
         params=params,
-        field_kind=field.kind,
-        field_modulus=field.modulus,
+        field=field,
         body=body,
         payload_len=100,
     )
@@ -54,8 +55,8 @@ def test_encoded_file_round_trip(code_type, field_kind):
     parsed = parse_encoded(serialize_encoded(ef))
     assert parsed.code_type == ef.code_type
     assert parsed.params == ef.params
-    assert parsed.field_kind == ef.field_kind
-    assert parsed.field_modulus == ef.field_modulus
+    assert parsed.field.kind == ef.field.kind
+    assert parsed.field.modulus == ef.field.modulus
     assert parsed.payload_len == ef.payload_len
     assert np.array_equal(parsed.body, ef.body)
     assert parsed.alpha == ef.alpha
@@ -104,13 +105,33 @@ def test_out_of_range_symbol_rejected():
     bad = EncodedFile(
         code_type=ef.code_type,
         params=ef.params,
-        field_kind=ef.field_kind,
-        field_modulus=ef.field_modulus,
+        field=ef.field,
         body=body,
         payload_len=ef.payload_len,
     )
     with pytest.raises(FormatError):
         parse_encoded(serialize_encoded(bad))
+
+
+def test_symbol_serialization_round_trip():
+    rng = random.Random(3)
+    for field, params in (
+        (make_field(50, 5, "gf256"), SystemParams(n=10, u=5, k=8, dbar=1)),
+        (make_field(300, 2, "prime"), SystemParams(n=6, u=2, k=4, dbar=1)),
+    ):
+        body = np.array([rng.randrange(field.q) for _ in range(60)], dtype=field.np_dtype)
+        ef = EncodedFile("msrr", params, field, body.reshape(-1, params.n), 7)
+        blob = serialize_encoded(ef)
+        assert len(blob) == 17 + 60 * field.symbol_width + 8
+        assert np.array_equal(parse_encoded(blob).body, ef.body)
+
+
+def test_serialization_is_little_endian():
+    f = make_field(300, 2, "prime")  # p = 307: two bytes per symbol
+    body = np.zeros((1, 6), dtype=f.np_dtype)
+    body[0, 0] = 258
+    ef = EncodedFile("msrr", SystemParams(n=6, u=2, k=4, dbar=1), f, body, 0)
+    assert serialize_encoded(ef)[17:19] == b"\x02\x01"
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +143,7 @@ def test_gf256_packing_is_identity():
     f = make_field(50, 5, "gf256")
     payload = bytes(range(256))
     symbols = payload_to_symbols(f, payload)
-    assert symbols == list(range(256))
+    assert symbols.tolist() == list(range(256))
     assert symbols_to_payload(f, symbols, 256) == payload
 
 
@@ -130,7 +151,7 @@ def test_wide_prime_packing_is_byte_per_symbol():
     f = make_field(300, 2, "prime")  # p = 307 > 256
     payload = bytes(range(256))
     symbols = payload_to_symbols(f, payload)
-    assert symbols == list(range(256))
+    assert symbols.tolist() == list(range(256))
     assert symbols_to_payload(f, symbols, 256) == payload
 
 
@@ -147,7 +168,7 @@ def test_small_prime_escape_covers_every_byte():
 def test_small_prime_packing_with_padding_round_trip():
     f = make_field(130, 2, "prime")
     payload = bytes(RNG.randrange(256) for _ in range(999))
-    symbols = payload_to_symbols(f, payload) + [0] * 57  # stripe padding
+    symbols = payload_to_symbols(f, payload).tolist() + [0] * 57  # stripe padding
     assert symbols_to_payload(f, symbols, len(payload)) == payload
 
 
@@ -161,6 +182,118 @@ def test_truncated_symbol_stream_detected():
     f = make_field(50, 5, "gf256")
     with pytest.raises(FormatError):
         symbols_to_payload(f, [1, 2, 3], 10)
+
+
+GF131 = PrimeField(131, 2)  # escape symbol 130: pairs carry 0..125
+GF307 = PrimeField(307, 2)
+
+
+def test_escape_ending_the_payload_is_rejected():
+    with pytest.raises(FormatError):
+        symbols_to_payload(GF131, [1, 2, 130], 3)
+    # an escape past the payload's last byte is padding and stays ignored
+    assert symbols_to_payload(GF131, [1, 2, 130], 2) == b"\x01\x02"
+
+
+def test_escape_followed_by_escape_is_rejected():
+    with pytest.raises(FormatError):
+        symbols_to_payload(GF131, [5, 130, 130, 0], 2)
+    assert symbols_to_payload(GF131, [5, 130, 0, 130, 130], 2) == b"\x05\x82"
+    # p = 11 packs no payload, but a crafted file can still name it; there
+    # the pair (10, 10) would be a byte
+    with pytest.raises(FormatError):
+        symbols_to_payload(PrimeField(11, 2), [10, 10, 3], 1)
+
+
+def test_escape_pair_above_a_byte_is_rejected():
+    assert symbols_to_payload(GF131, [130, 125], 1) == b"\xff"
+    with pytest.raises(FormatError):
+        symbols_to_payload(GF131, [130, 126], 1)
+
+
+def test_symbol_outside_the_field_is_rejected():
+    for bad in (131, 200, -1):
+        with pytest.raises(FormatError):
+            symbols_to_payload(GF131, [4, bad], 2)
+
+
+def test_wide_prime_symbol_above_a_byte_is_rejected():
+    with pytest.raises(FormatError):
+        symbols_to_payload(GF307, np.array([7, 300, 0], dtype=np.uint16), 2)
+    assert symbols_to_payload(GF307, np.array([7, 255, 300], dtype=np.uint16), 2) == b"\x07\xff"
+
+
+# every field the packer serves: bytes, the two escape primes, two-byte symbols
+PACKING_FIELDS = [Gf256Field(5), GF131, PrimeField(137, 4), GF307]
+
+
+def reference_pack(q: int, payload: bytes) -> list[int]:
+    """Scalar packer: one symbol per byte, or (q-1, b-(q-1)) for a byte
+    b >= q-1 when q < 256."""
+    if q >= 256:
+        return list(payload)
+    escape = q - 1
+    out = []
+    for b in payload:
+        out.extend([b] if b < escape else [escape, b - escape])
+    return out
+
+
+def reference_unpack(q: int, symbols: list[int], payload_len: int) -> bytes:
+    """Scalar inverse of ``reference_pack``; raises FormatError on any
+    stream no payload packs to, up to the payload's last byte."""
+    escape = q - 1 if q < 256 else None
+    out = bytearray()
+    it = iter(symbols)
+    for s in it:
+        if len(out) == payload_len:
+            break
+        if s == escape:
+            t = next(it, None)
+            if t is None or t == escape or escape + t > 0xFF:
+                raise FormatError("bad escape pair")
+            out.append(escape + t)
+        elif s >= min(q, 256):
+            raise FormatError("symbol is neither a byte nor in the field")
+        else:
+            out.append(s)
+    if len(out) < payload_len:
+        raise FormatError("payload truncated")
+    return bytes(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PACKING_FIELDS), st.binary(max_size=400), st.integers(0, 40))
+def test_packing_round_trips_and_matches_reference(field, payload, padding):
+    symbols = payload_to_symbols(field, payload)
+    assert symbols.dtype == field.np_dtype
+    assert symbols.tolist() == reference_pack(field.q, payload)
+    padded = np.concatenate([symbols, np.zeros(padding, dtype=field.np_dtype)])
+    assert symbols_to_payload(field, padded, len(payload)) == payload
+
+
+@st.composite
+def symbol_stream(draw):
+    field = draw(st.sampled_from(PACKING_FIELDS + [PrimeField(11, 2)]))
+    # lean on the escape symbol and the largest bytes, where streams break
+    edges = [s for s in (field.q - 1, 0, 125, 126, 255) if s < field.q]
+    symbol = st.one_of(st.sampled_from(edges), st.integers(0, field.q - 1))
+    symbols = draw(st.lists(symbol, max_size=30))
+    return field, symbols, draw(st.integers(0, len(symbols) + 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(symbol_stream())
+def test_unpacking_matches_reference_on_arbitrary_streams(case):
+    field, symbols, payload_len = case
+    try:
+        expected = reference_unpack(field.q, symbols, payload_len)
+    except FormatError:
+        with pytest.raises(FormatError):
+            symbols_to_payload(field, np.array(symbols, dtype=field.np_dtype), payload_len)
+    else:
+        got = symbols_to_payload(field, np.array(symbols, dtype=field.np_dtype), payload_len)
+        assert got == expected
 
 
 # ---------------------------------------------------------------------------
