@@ -2,13 +2,16 @@
 
 The per-stripe operations in ``msrr``/``mbrr`` are a handful of small
 linear maps that do not depend on the stripe contents.  For whole-file
-work these maps are precomputed once with the exact scalar solvers and
-then applied across all stripes with the field's vectorized kernels.
+work each map is derived once per call with the cheapest exact method
+and then applied across all stripes with the field's vectorized kernels.
+Built codes and their generators are kept for the life of the process.
 Stripe matrices hold one stripe per column.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -16,24 +19,70 @@ import numpy as np
 from .errors import ParameterError, VerificationError
 from .linalg import (
     Matrix,
+    independent_prefix,
     invert,
     lagrange_eval_weights,
     lagrange_leading_weights,
     mat_mul,
+    vandermonde_inverse,
 )
 from .mbrr import MbrrCode, message_layout
 from .msrr import MsrrCode
+from .params import MSRR, SystemParams
+
+#: Built codes kept per process, keyed by (code type, params, field).
+_CODE_CACHE_SIZE = 8
+
+# Generator of each live code, read-only; an entry dies with its code.
+_GENERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _np(field, rows: Sequence[Sequence[int]]) -> np.ndarray:
     return np.array(rows, dtype=field.np_dtype)
 
 
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def build_code(code_type: str, params: SystemParams, field) -> MsrrCode | MbrrCode:
+    """The built code for ``params`` over ``field``, shared by every call in
+    this process that asks for the same code type, parameters and field."""
+    if code_type == MSRR:
+        return MsrrCode.build(params, field)
+    return MbrrCode.build(params, field)
+
+
+def _generator(code, derive) -> np.ndarray:
+    gen = _GENERATORS.get(code)
+    if gen is None:
+        gen = derive(code)
+        gen.setflags(write=False)
+        _GENERATORS[code] = gen
+    return gen
+
+
+def _check_helpers(p: SystemParams, failed: tuple[int, int], helper_racks: list[int]) -> None:
+    e_star = failed[0]
+    p.node_index(*failed)  # bounds check
+    if (
+        len(helper_racks) != p.dbar
+        or len(set(helper_racks)) != p.dbar
+        or e_star in helper_racks
+        or not all(0 <= h < p.nbar for h in helper_racks)
+    ):
+        raise ParameterError(
+            f"need {p.dbar} distinct helper racks in [0, {p.nbar}) other than {e_star}"
+        )
+
+
 # -- minimum-storage (scalar) code ---------------------------------------------
 
 
 def msrr_generator(code: MsrrCode) -> np.ndarray:
-    """(n x B) systematic generator; codeword = G @ message."""
+    """(n x B) systematic generator; codeword = G @ message.  Derived once
+    per code and read-only."""
+    return _generator(code, _msrr_generator)
+
+
+def _msrr_generator(code: MsrrCode) -> np.ndarray:
     n, B = code.params.n, code.B
     rows = [[0] * B for _ in range(n)]
     for pos, b in zip(code.info_set, range(B)):
@@ -79,22 +128,7 @@ def msrr_reconstruct_stripes(
         ha = code.H.take_columns(avail)
         # a deterministic invertible row subset of the check rows on the
         # erased columns
-        picked: list[int] = []
-        reduced: list[tuple[int, list[int]]] = []
-        for r in range(he.rows):
-            v = he.row(r)
-            for lead, vec in reduced:
-                if v[lead] != 0:
-                    f = v[lead]
-                    v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, vec)]
-            lead = next((i for i, a in enumerate(v) if a != 0), -1)
-            if lead < 0:
-                continue
-            inv = F.inv(v[lead])
-            reduced.append((lead, [F.mul(a, inv) for a in v]))
-            picked.append(r)
-            if len(picked) == len(erased):
-                break
+        picked = independent_prefix(F, (he.row(r) for r in range(he.rows)), len(erased))
         if len(picked) != len(erased):
             raise VerificationError("check rows cannot isolate the erased columns")
         hsq_inv = invert(F, Matrix.from_rows([he.row(r) for r in picked]))
@@ -110,13 +144,31 @@ def msrr_reconstruct_stripes(
 def msrr_repair_weights(
     code: MsrrCode, failed: tuple[int, int], helper_racks: Sequence[int]
 ) -> list[int]:
-    """Coefficients gamma with rack_sum(e*) = sum_h gamma_h * response_h."""
+    """Coefficients gamma with rack_sum(e*) = sum_h gamma_h * response_h.
+
+    The checks with exponents i*u, i < nbar - dbar, read
+    sum_e x_e**i * s_e = 0 for the rack sums s_e at x_e = xi**(e*u).  So
+    s_e = v_e * f(x_e) with deg f < dbar and v_e = 1 / prod_{e' != e}
+    (x_e - x_e'), and interpolating f through the helpers gives
+    gamma_h = (v_e* / v_h) * L_h(x_e*): O(nbar * dbar) field operations.
+    """
+    p = code.params
+    F = code.field
     helper_racks = list(helper_racks)
-    weights = []
-    for j in range(len(helper_racks)):
-        unit = [(h, 1 if i == j else 0) for i, h in enumerate(helper_racks)]
-        weights.append(code.repair(failed, [0] * (code.params.u - 1), unit))
-    return weights
+    _check_helpers(p, failed, helper_racks)
+    x = code.rack_points
+    e_star = failed[0]
+
+    def inv_v(e: int) -> int:
+        prod = 1
+        for other, xo in enumerate(x):
+            if other != e:
+                prod = F.mul(prod, F.sub(x[e], xo))
+        return prod
+
+    v_star = F.inv(inv_v(e_star))
+    lagrange = lagrange_eval_weights(F, [x[h] for h in helper_racks], x[e_star])
+    return [F.mul(F.mul(v_star, inv_v(h)), w) for h, w in zip(helper_racks, lagrange)]
 
 
 def msrr_repair_stripes(
@@ -155,7 +207,12 @@ def msrr_repair_stripes(
 
 
 def mbrr_generator(code: MbrrCode) -> np.ndarray:
-    """(n*dbar x B) map from data symbols to node-major stored symbols."""
+    """(n*dbar x B) map from data symbols to node-major stored symbols.
+    Derived once per code and read-only."""
+    return _generator(code, _mbrr_generator)
+
+
+def _mbrr_generator(code: MbrrCode) -> np.ndarray:
     p = code.params
     F = code.field
     grid = message_layout(p)
@@ -200,8 +257,7 @@ def mbrr_reconstruct_stripes(
     order = sorted(range(len(nodes)), key=lambda i: nodes[i])
     base, extra = order[: p.k], order[p.k :]
     points = [code.lam[nodes[i]] for i in base]
-    vand = Matrix.from_rows([[F.pow(x, j) for j in range(p.k)] for x in points])
-    vinv = _np(F, invert(F, vand).to_rows())
+    vinv = _np(F, vandermonde_inverse(F, points).to_rows())
     m_rows = []
     for i in range(p.dbar):
         values = symbols[[a * p.dbar + i for a in base], :]
@@ -243,8 +299,7 @@ def mbrr_repair_stripes(
     F = code.field
     e_star, g_star = failed
     helper_racks = list(helper_racks)
-    if len(set(helper_racks)) != p.dbar or e_star in helper_racks:
-        raise ParameterError(f"need {p.dbar} distinct helper racks != {e_star}")
+    _check_helpers(p, failed, helper_racks)
     stripes = node_rows.shape[1]
     # helper responses: leading vectors from storage, then the failed rack's
     # Vandermonde row
@@ -260,10 +315,7 @@ def mbrr_repair_stripes(
             lead.append(F.np_matmul(weights, cols)[0])
         responses.append(F.np_matmul(target_row, np.stack(lead))[0])
     # interpolate the failed rack's leading vector from the responses
-    vand = Matrix.from_rows(
-        [[F.pow(rack_pts[h], j) for j in range(p.dbar)] for h in helper_racks]
-    )
-    vinv = _np(F, invert(F, vand).to_rows())
+    vinv = _np(F, vandermonde_inverse(F, [rack_pts[h] for h in helper_racks]).to_rows())
     h_star = F.np_matmul(vinv, np.stack(responses))  # (dbar x stripes)
     # evaluate each local polynomial at the failed point: a fixed combination
     # of the u-1 surviving values plus the leading coefficient

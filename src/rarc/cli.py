@@ -25,8 +25,6 @@ from .formats import (
     serialize_encoded,
     symbols_to_payload,
 )
-from .mbrr import MbrrCode
-from .msrr import MsrrCode
 from .params import (
     MBRR,
     MSRR,
@@ -100,12 +98,6 @@ def _system_params(args) -> SystemParams:
     return SystemParams(n=args.n, u=args.u, k=args.k, dbar=args.d)
 
 
-def _build_code(code_type: str, params: SystemParams, field):
-    if code_type == MSRR:
-        return MsrrCode.build(params, field)
-    return MbrrCode.build(params, field)
-
-
 def _point_record(label: str, point, p: SystemParams) -> tuple[str, dict]:
     storage, bandwidth = overhead_pair(point, p)
     return (
@@ -142,7 +134,7 @@ def cmd_params(args) -> int:
 def _encoded_from_payload(args, payload: bytes) -> EncodedFile:
     params = _system_params(args)
     field = make_field(params.n, params.u, args.field)
-    code = _build_code(args.code, params, field)
+    code = bulk.build_code(args.code, params, field)
     symbols = payload_to_symbols(field, payload)
     B = code.B
     stripes = -(-symbols.size // B)
@@ -196,7 +188,7 @@ def cmd_repair(args) -> int:
     ef = _load_encoded(args.encoded)
     p = ef.params
     field = ef.field
-    code = _build_code(ef.code_type, p, field)
+    code = bulk.build_code(ef.code_type, p, field)
     e_star, g_star = _parse_node(args.failed)
     idx = p.node_index(e_star, g_star)
     body = ef.body.copy()
@@ -250,8 +242,11 @@ def cmd_reconstruct(args) -> int:
     ef = _load_encoded(args.encoded)
     p = ef.params
     field = ef.field
-    code = _build_code(ef.code_type, p, field)
+    code = bulk.build_code(ef.code_type, p, field)
     nodes = sorted(set(_parse_int_list(args.nodes)))
+    outside = [idx for idx in nodes if not 0 <= idx < p.n]
+    if outside:
+        raise ParameterError(f"node index {outside[0]} outside [0, {p.n})")
     body_t = ef.body.T
     alpha = ef.alpha
     rows = body_t[[idx * alpha + i for idx in nodes for i in range(alpha)], :]

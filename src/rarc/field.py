@@ -17,6 +17,8 @@ given cluster shape.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ParameterError
@@ -26,6 +28,9 @@ GF256_MODULUS = 0x11D
 
 #: Outputs per pass of the prime-field matmul: 2 MiB of float64.
 _PRIME_SLICE = 1 << 18
+
+#: Fields kept per process, keyed by (kind, modulus, u).
+_FIELD_CACHE_SIZE = 16
 
 
 def _gf2_mul(a: int, b: int) -> int:
@@ -200,6 +205,9 @@ class Gf256Field(FieldSpec):
         table[0, :] = 0
         table[:, 0] = 0
         self._mul_table = table
+        # one field object serves every caller in the process
+        for arr in (self._np_exp, self._np_log, table):
+            arr.setflags(write=False)
         super().__init__(u)
 
     def add(self, a, b):
@@ -356,14 +364,12 @@ def make_field(n: int, u: int, preference: str = "auto") -> FieldSpec:
             raise ParameterError(
                 f"GF(256) is not legal for n={n}, u={u}: need u | 255 and n < 256"
             )
-        return Gf256Field(u)
-    if preference == "prime":
-        return PrimeField(smallest_prime_field(n, u), u)
-    if preference == "auto":
-        if gf256_ok:
-            return Gf256Field(u)
-        return PrimeField(smallest_prime_field(n, u), u)
-    raise ParameterError(f"unknown field preference {preference!r}")
+        return _cached_field("gf256", GF256_MODULUS, u)
+    if preference not in ("prime", "auto"):
+        raise ParameterError(f"unknown field preference {preference!r}")
+    if preference == "auto" and gf256_ok:
+        return _cached_field("gf256", GF256_MODULUS, u)
+    return _cached_field("prime", smallest_prime_field(n, u), u)
 
 
 def field_from_descriptor(kind: str, modulus: int, u: int) -> FieldSpec:
@@ -371,10 +377,17 @@ def field_from_descriptor(kind: str, modulus: int, u: int) -> FieldSpec:
     if kind == "gf256":
         if modulus != GF256_MODULUS:
             raise ParameterError(f"unsupported GF(256) modulus {modulus:#x}")
+    elif kind != "prime":
+        raise ParameterError(f"unknown field kind {kind!r}")
+    return _cached_field(kind, modulus, u)
+
+
+@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
+def _cached_field(kind: str, modulus: int, u: int) -> FieldSpec:
+    """The one field object per (kind, modulus, u) in this process."""
+    if kind == "gf256":
         return Gf256Field(u)
-    if kind == "prime":
-        return PrimeField(modulus, u)
-    raise ParameterError(f"unknown field kind {kind!r}")
+    return PrimeField(modulus, u)
 
 
 def eval_points(field: FieldSpec, nbar: int) -> list[int]:

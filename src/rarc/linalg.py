@@ -7,7 +7,7 @@ their systems with equality, never within a tolerance.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import SingularSystemError
 
@@ -67,13 +67,6 @@ class Matrix:
             base = i * self.cols
             for jj, j in enumerate(cols):
                 out.entries[i * len(cols) + jj] = self.entries[base + j]
-        return out
-
-    def transpose(self) -> "Matrix":
-        out = Matrix(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.entries[j * self.rows + i] = self.entries[i * self.cols + j]
         return out
 
     def __eq__(self, other):
@@ -176,6 +169,33 @@ def invert(F, A: Matrix) -> Matrix:
     return Matrix.from_rows([row[n:] for row in aug])
 
 
+def independent_prefix(F, vectors: Iterable[Sequence[int]], limit: int) -> list[int]:
+    """Indices of the vectors a left-to-right independence sweep keeps.
+
+    A vector is kept when it is independent of the vectors kept before
+    it; the sweep stops once ``limit`` are kept.  Each kept vector is
+    stored reduced, with a unit entry at a lead index that is zero in
+    every later kept vector, so one pass over the kept list reduces a new
+    vector completely.
+    """
+    kept: list[int] = []
+    reduced: list[tuple[int, list[int]]] = []  # (lead index, unit-lead vector)
+    for idx, v in enumerate(vectors):
+        if len(kept) == limit:
+            break
+        for lead, vec in reduced:
+            if v[lead] != 0:
+                f = v[lead]
+                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, vec)]
+        lead = next((i for i, a in enumerate(v) if a != 0), -1)
+        if lead < 0:
+            continue
+        inv = F.inv(v[lead])
+        reduced.append((lead, [F.mul(a, inv) for a in v]))
+        kept.append(idx)
+    return kept
+
+
 def poly_eval(F, coeffs: Sequence[int], x: int) -> int:
     """Evaluate a lowest-degree-first coefficient list at x (Horner)."""
     acc = 0
@@ -189,6 +209,29 @@ def _check_points(points: Sequence[int]) -> None:
         raise SingularSystemError("duplicate interpolation points")
 
 
+def _lagrange_numerators(F, points: Sequence[int]):
+    """Yield (num, den) per point: num lists the coefficients of
+    prod_{j != i} (X - x_j), lowest degree first, and den = num(x_i).
+
+    Builds the master polynomial prod_i (X - x_i) once and deflates it by
+    each (X - x_i) with synthetic division from the top, so all m pairs
+    cost O(m^2).
+    """
+    _check_points(points)
+    m = len(points)
+    root = [1]
+    for x in points:
+        root = [0] + root
+        for j in range(len(root) - 1):
+            root[j] = F.sub(root[j], F.mul(root[j + 1], x))
+    for x in points:
+        num = [0] * m
+        num[m - 1] = root[m]
+        for j in range(m - 1, 0, -1):
+            num[j - 1] = F.add(root[j], F.mul(num[j], x))
+        yield num, poly_eval(F, num, x)
+
+
 def vandermonde_solve(F, points: Sequence[int], values: Sequence[int]) -> list[int]:
     """Coefficients of the unique degree-< m polynomial through m points.
 
@@ -198,28 +241,30 @@ def vandermonde_solve(F, points: Sequence[int], values: Sequence[int]) -> list[i
     """
     if len(points) != len(values):
         raise ValueError("points/values length mismatch")
-    _check_points(points)
     m = len(points)
-    if m == 0:
-        return []
-    # master polynomial prod_i (x - x_i), lowest degree first
-    root = [1]
-    for x in points:
-        root = [0] + root
-        for j in range(len(root) - 1):
-            root[j] = F.sub(root[j], F.mul(root[j + 1], x))
     coeffs = [0] * m
-    for i, x in enumerate(points):
-        # deflate: root / (X - x) by synthetic division from the top
-        num = [0] * m
-        num[m - 1] = root[m]
-        for j in range(m - 1, 0, -1):
-            num[j - 1] = F.add(root[j], F.mul(num[j], x))
-        denom = poly_eval(F, num, x)
-        scale = F.div(values[i], denom)
+    for (num, den), y in zip(_lagrange_numerators(F, points), values):
+        scale = F.div(y, den)
         for j in range(m):
             coeffs[j] = F.add(coeffs[j], F.mul(num[j], scale))
     return coeffs
+
+
+def vandermonde_inverse(F, points: Sequence[int]) -> Matrix:
+    """Inverse of the m x m Vandermonde matrix V[i][j] = points[i]**j.
+
+    Column i holds the coefficients of the i-th Lagrange basis polynomial,
+    so ``vandermonde_inverse(F, x) @ y`` interpolates y at x.  Exact, and
+    O(m^2) field operations against O(m^3) for ``invert`` (the classic
+    route of Bjorck and Pereyra, Math. Comp. 24, 1970).
+    """
+    m = len(points)
+    out = Matrix(m, m)
+    for i, (num, den) in enumerate(_lagrange_numerators(F, points)):
+        scale = F.inv(den)
+        for j in range(m):
+            out.entries[j * m + i] = F.mul(num[j], scale)
+    return out
 
 
 def lagrange_leading_weights(F, points: Sequence[int]) -> list[int]:

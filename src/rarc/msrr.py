@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .errors import ParameterError, SingularSystemError, VerificationError
 from .field import FieldSpec, eval_points
-from .linalg import Matrix, gaussian_solve, invert, mat_mul, mat_vec
+from .linalg import Matrix, gaussian_solve, independent_prefix, invert, mat_mul, mat_vec
 from .params import SystemParams, msrr_point
 
 #: Enumeration guard for brute-force distance scans.
@@ -47,26 +47,11 @@ def _select_parity_columns(F: FieldSpec, H: Matrix) -> list[int]:
     The kept set is therefore the unique basis preferring rightmost
     columns, which a single right-to-left independence sweep computes.
     """
-    m = H.rows
-    kept: list[int] = []
-    reduced: list[tuple[int, list[int]]] = []  # (lead index, unit-lead vector)
-    for c in range(H.cols - 1, -1, -1):
-        v = H.col(c)
-        for lead, vec in reduced:
-            if v[lead] != 0:
-                f = v[lead]
-                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, vec)]
-        lead = next((i for i, a in enumerate(v) if a != 0), -1)
-        if lead < 0:
-            continue
-        inv = F.inv(v[lead])
-        reduced.append((lead, [F.mul(a, inv) for a in v]))
-        kept.append(c)
-        if len(kept) == m:
-            break
-    if len(kept) != m:
+    order = range(H.cols - 1, -1, -1)
+    kept = independent_prefix(F, (H.col(c) for c in order), H.rows)
+    if len(kept) != H.rows:
         raise SingularSystemError("parity-check matrix is rank deficient")
-    return sorted(kept)
+    return sorted(order[i] for i in kept)
 
 
 class MsrrCode:

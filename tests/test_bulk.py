@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rarc import bulk
-from rarc.errors import VerificationError
-from rarc.field import Gf256Field, PrimeField, make_field
+from rarc.errors import ParameterError, VerificationError
+from rarc.field import Gf256Field, PrimeField, field_from_descriptor, make_field
 from rarc.mbrr import MbrrCode, pack_message
 from rarc.msrr import MsrrCode
-from rarc.params import SystemParams
+from rarc.params import MBRR, MSRR, SystemParams
 
 RNG = random.Random(307)
 
@@ -91,6 +91,105 @@ def test_msrr_batch_repair_local_only():
     body = bulk.msrr_encode_stripes(code, data)
     got = bulk.msrr_repair_stripes(code, (1, 2), [], body)
     assert np.array_equal(got[0], body[5])
+
+
+def probe_weights(code, failed, helper_racks):
+    """Repair weights read off the scalar repair, one unit response at a time."""
+    zeros = [0] * (code.params.u - 1)
+    return [
+        code.repair(failed, zeros, [(h, int(i == j)) for i, h in enumerate(helper_racks)])
+        for j in range(len(helper_racks))
+    ]
+
+
+WEIGHT_CODES = [
+    bulk.build_code(MSRR, SystemParams(n=n, u=u, k=k, dbar=d), make_field(n, u, pref))
+    for n, u, k, d, pref in [
+        (132, 4, 120, 4, "prime"),  # GF(137), the prime file code
+        (50, 5, 44, 4, "gf256"),  # the GF(256) file code
+        (50, 5, 44, 1, "gf256"),  # dbar = 1
+        (12, 3, 9, 3, "gf256"),  # dbar = nbar - 1
+        (12, 4, 9, 1, "prime"),  # GF(13), dbar = 1
+        (12, 4, 9, 2, "prime"),  # dbar = nbar - 1
+    ]
+]
+
+
+@st.composite
+def repair_case(draw):
+    code = draw(st.sampled_from(WEIGHT_CODES))
+    p = code.params
+    failed = p.node_pair(draw(st.integers(0, p.n - 1)))
+    others = [e for e in range(p.nbar) if e != failed[0]]
+    helpers = draw(st.permutations(others))[: p.dbar]
+    return code, failed, helpers
+
+
+@settings(max_examples=60, deadline=None)
+@given(repair_case())
+def test_msrr_closed_form_weights_equal_scalar_probes(case):
+    code, failed, helpers = case
+    assert bulk.msrr_repair_weights(code, failed, helpers) == probe_weights(code, failed, helpers)
+
+
+@pytest.mark.parametrize(
+    "helpers",
+    [[1], [1, 2, 3], [1, 1], [1, 1, 2], [0, 2], [1, 5], [1, -1]],
+    ids=["too-few", "too-many", "duplicate", "duplicate-padded", "failed-rack", "past-end",
+         "negative"],
+)
+def test_batch_repair_rejects_bad_helper_sets(helpers):
+    # n=10, u=2, dbar=2: racks 0..4, the failed node sits in rack 0
+    p = SystemParams(n=10, u=2, k=7, dbar=2)
+    field = make_field(10, 2, "prime")
+    for code in (MsrrCode.build(p, field), MbrrCode.build(p, field)):
+        body = np.zeros((p.n * code.alpha, 3), dtype=field.np_dtype)
+        repair = bulk.msrr_repair_stripes if code.code_type == MSRR else bulk.mbrr_repair_stripes
+        with pytest.raises(ParameterError):
+            repair(code, (0, 1), helpers, body)
+
+
+# ---------------------------------------------------------------------------
+# per-process caches
+# ---------------------------------------------------------------------------
+
+
+def test_fields_are_built_once_per_descriptor():
+    gf = make_field(50, 5, "gf256")
+    assert make_field(50, 5, "auto") is gf
+    assert field_from_descriptor("gf256", gf.modulus, 5) is gf
+    prime = make_field(50, 5, "prime")
+    assert prime is not gf and prime.kind == "prime" and prime.q == 61
+    assert field_from_descriptor("prime", 61, 5) is prime
+    assert make_field(50, 5, "prime") is prime
+    assert make_field(60, 5, "prime") is prime  # the same smallest prime, 61
+    assert make_field(50, 2, "prime") is not prime  # another rack size
+
+
+def test_codes_are_built_once_per_type_params_and_field():
+    p = SystemParams(n=50, u=5, k=44, dbar=4)
+    gf, prime = make_field(50, 5, "gf256"), make_field(50, 5, "prime")
+    for code_type, cls in ((MSRR, MsrrCode), (MBRR, MbrrCode)):
+        code = bulk.build_code(code_type, p, gf)
+        assert isinstance(code, cls)
+        assert bulk.build_code(code_type, SystemParams(n=50, u=5, k=44, dbar=4), gf) is code
+        other = bulk.build_code(code_type, p, prime)
+        assert other is not code and other.field is prime
+    assert bulk.build_code(MSRR, p, gf) is not bulk.build_code(MBRR, p, gf)
+
+
+def test_cached_arrays_are_read_only():
+    p = SystemParams(n=50, u=5, k=44, dbar=4)
+    field = make_field(50, 5, "gf256")
+    msrr = bulk.build_code(MSRR, p, field)
+    mbrr = bulk.build_code(MBRR, p, field)
+    gens = [bulk.msrr_generator(msrr), bulk.mbrr_generator(mbrr)]
+    assert bulk.msrr_generator(msrr) is gens[0]
+    assert bulk.mbrr_generator(mbrr) is gens[1]
+    for arr in gens + [field._mul_table]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
 
 
 def test_mbrr_batch_encode_matches_scalar():

@@ -222,6 +222,27 @@ def test_reconstruct_needs_k_nodes(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("code", ["msrr", "mbrr"])
+def test_reconstruct_rejects_node_indices_outside_the_cluster(tmp_path, capsys, code):
+    src = tmp_path / "payload.bin"
+    src.write_bytes(bytes(range(256)) * 4)
+    enc = tmp_path / "data.rarc"
+    rc, _, _ = run_cli(
+        capsys,
+        "encode", "--code", code,
+        "--n", "50", "--u", "5", "--k", "44", "--d", "4",
+        str(src), str(enc),
+    )
+    assert rc == 0
+    out = tmp_path / "o"
+    rc, _, err = run_cli(capsys, "reconstruct", "--nodes", "0-50", str(enc), str(out))
+    assert rc == 1
+    assert "node index 50" in err
+    assert not out.exists()
+    rc, _, _ = run_cli(capsys, "reconstruct", "--nodes", "0-49", str(enc), str(out))
+    assert rc == 0 and out.read_bytes() == src.read_bytes()
+
+
 @pytest.mark.parametrize(
     "p,stream,payload_len",
     [

