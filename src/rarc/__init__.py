@@ -21,9 +21,7 @@ from .field import (
 )
 from .linalg import (
     Matrix,
-    constrained_interpolate,
     gaussian_solve,
-    lagrange_leading_coefficient,
     lagrange_leading_weights,
     vandermonde_solve,
 )
@@ -60,13 +58,11 @@ __all__ = [
     "TradeoffPoint",
     "TrafficLog",
     "VerificationError",
-    "constrained_interpolate",
     "cutset_bound",
     "derive_eta",
     "eval_points",
     "find_primitive",
     "gaussian_solve",
-    "lagrange_leading_coefficient",
     "lagrange_leading_weights",
     "make_field",
     "mbrr_point",

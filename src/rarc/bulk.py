@@ -3,9 +3,10 @@
 The per-stripe operations in ``msrr``/``mbrr`` are a handful of small
 linear maps that do not depend on the stripe contents.  For whole-file
 work each map is derived once per call with the cheapest exact method
-and then applied across all stripes with the field's vectorized kernels.
-Built codes and their generators are kept for the life of the process.
-Stripe matrices hold one stripe per column.
+(repair takes the code's own ``repair_maps``) and then applied across
+all stripes with the field's vectorized kernels.  Built codes and their
+generators are kept for the life of the process.  Stripe matrices hold
+one stripe per column.
 """
 
 from __future__ import annotations
@@ -17,16 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, VerificationError
-from .linalg import (
-    Matrix,
-    independent_prefix,
-    invert,
-    lagrange_eval_weights,
-    lagrange_leading_weights,
-    mat_mul,
-    vandermonde_inverse,
-)
-from .mbrr import MbrrCode, message_layout
+from .linalg import Matrix, independent_prefix, invert, mat_mul, vandermonde_inverse
+from .mbrr import MbrrCode, check_message_structure, message_layout
 from .msrr import MsrrCode
 from .params import MSRR, SystemParams
 
@@ -57,20 +50,6 @@ def _generator(code, derive) -> np.ndarray:
         gen.setflags(write=False)
         _GENERATORS[code] = gen
     return gen
-
-
-def _check_helpers(p: SystemParams, failed: tuple[int, int], helper_racks: list[int]) -> None:
-    e_star = failed[0]
-    p.node_index(*failed)  # bounds check
-    if (
-        len(helper_racks) != p.dbar
-        or len(set(helper_racks)) != p.dbar
-        or e_star in helper_racks
-        or not all(0 <= h < p.nbar for h in helper_racks)
-    ):
-        raise ParameterError(
-            f"need {p.dbar} distinct helper racks in [0, {p.nbar}) other than {e_star}"
-        )
 
 
 # -- minimum-storage (scalar) code ---------------------------------------------
@@ -141,68 +120,6 @@ def msrr_reconstruct_stripes(
     return full[code.info_set, :]
 
 
-def msrr_repair_weights(
-    code: MsrrCode, failed: tuple[int, int], helper_racks: Sequence[int]
-) -> list[int]:
-    """Coefficients gamma with rack_sum(e*) = sum_h gamma_h * response_h.
-
-    The checks with exponents i*u, i < nbar - dbar, read
-    sum_e x_e**i * s_e = 0 for the rack sums s_e at x_e = xi**(e*u).  So
-    s_e = v_e * f(x_e) with deg f < dbar and v_e = 1 / prod_{e' != e}
-    (x_e - x_e'), and interpolating f through the helpers gives
-    gamma_h = (v_e* / v_h) * L_h(x_e*): O(nbar * dbar) field operations.
-    """
-    p = code.params
-    F = code.field
-    helper_racks = list(helper_racks)
-    _check_helpers(p, failed, helper_racks)
-    x = code.rack_points
-    e_star = failed[0]
-
-    def inv_v(e: int) -> int:
-        prod = 1
-        for other, xo in enumerate(x):
-            if other != e:
-                prod = F.mul(prod, F.sub(x[e], xo))
-        return prod
-
-    v_star = F.inv(inv_v(e_star))
-    lagrange = lagrange_eval_weights(F, [x[h] for h in helper_racks], x[e_star])
-    return [F.mul(F.mul(v_star, inv_v(h)), w) for h, w in zip(helper_racks, lagrange)]
-
-
-def msrr_repair_stripes(
-    code: MsrrCode,
-    failed: tuple[int, int],
-    helper_racks: Sequence[int],
-    node_rows: np.ndarray,
-) -> np.ndarray:
-    """Recompute the failed node's (1 x stripes) row from the full body
-    (``node_rows`` is (n x stripes)) without reading that row."""
-    p = code.params
-    F = code.field
-    e_star, g_star = failed
-    if p.dbar == 0:
-        acc = np.zeros((1, node_rows.shape[1]), dtype=F.np_dtype)
-        for g in range(p.u):
-            if g != g_star:
-                acc = F.np_add(acc, node_rows[p.node_index(e_star, g)][None, :])
-        return F.np_neg(acc)
-    gammas = msrr_repair_weights(code, failed, helper_racks)
-    responses = []
-    for h in helper_racks:
-        acc = np.zeros(node_rows.shape[1], dtype=F.np_dtype)
-        for g in range(p.u):
-            acc = F.np_add(acc, node_rows[p.node_index(h, g)])
-        responses.append(acc)
-    rack_sum = F.np_matmul(_np(F, [gammas]), np.stack(responses))
-    local = np.zeros((1, node_rows.shape[1]), dtype=F.np_dtype)
-    for g in range(p.u):
-        if g != g_star:
-            local = F.np_add(local, node_rows[p.node_index(e_star, g)][None, :])
-    return F.np_add(rack_sum, F.np_neg(local))
-
-
 # -- minimum-bandwidth (array) code ----------------------------------------------
 
 
@@ -262,21 +179,19 @@ def mbrr_reconstruct_stripes(
     for i in range(p.dbar):
         values = symbols[[a * p.dbar + i for a in base], :]
         m_rows.append(F.np_matmul(vinv, values))  # (k x stripes) coefficients
-    for a in extra:
-        lam = code.lam[nodes[a]]
-        powers = _np(F, [[F.pow(lam, j) for j in range(p.k)]])
+    if extra:
+        # the k base columns define every stripe's M, so a mismatch cannot
+        # say which of the given columns is bad
+        powers = _np(F, [[F.pow(code.lam[nodes[a]], j) for j in range(p.k)] for a in extra])
+        bad = np.zeros(stripes, dtype=bool)
         for i in range(p.dbar):
             predicted = F.np_matmul(powers, m_rows[i])
-            if not np.array_equal(predicted[0], symbols[a * p.dbar + i]):
-                raise VerificationError(f"column of node {nodes[a]} is inconsistent")
-    j1 = [t * p.u + p.u - 1 for t in range(p.kbar)]
-    for t, col in enumerate(j1):
-        for i in range(p.dbar):
-            if t >= p.dbar:
-                if m_rows[i][col].any():
-                    raise VerificationError("zero tail of the boundary columns is nonzero")
-            elif not np.array_equal(m_rows[i][col], m_rows[t][j1[i]]):
-                raise VerificationError("symmetric block mismatch")
+            bad |= (predicted != symbols[[a * p.dbar + i for a in extra], :]).any(axis=0)
+        if bad.any():
+            raise VerificationError(
+                f"the given node set is inconsistent, first at stripe {int(bad.argmax())}"
+            )
+    check_message_structure(p, lambda i, j: m_rows[i][j])
     grid = message_layout(p)
     data = np.zeros((code.B, stripes), dtype=F.np_dtype)
     for i in range(p.dbar):
@@ -287,49 +202,36 @@ def mbrr_reconstruct_stripes(
     return data
 
 
-def mbrr_repair_stripes(
-    code: MbrrCode,
+# -- repair, both codes -------------------------------------------------------------
+
+
+def repair_stripes(
+    code: MsrrCode | MbrrCode,
     failed: tuple[int, int],
     helper_racks: Sequence[int],
     node_rows: np.ndarray,
-) -> np.ndarray:
-    """Recompute the failed node's (dbar x stripes) rows from the full body
-    without reading them."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recompute the failed node's (alpha x stripes) rows from the full body
+    (``node_rows`` is (n*alpha x stripes)) without reading them.
+
+    Each helper rack applies its row of ``code.repair_maps`` to its own u
+    nodes; the rebuild map then takes the local rows and those responses.
+    Returns the rebuilt rows, the local rows read and the responses, so
+    the caller can count what crossed which rack boundary.
+    """
     p = code.params
     F = code.field
+    a = code.alpha
     e_star, g_star = failed
     helper_racks = list(helper_racks)
-    _check_helpers(p, failed, helper_racks)
-    stripes = node_rows.shape[1]
-    # helper responses: leading vectors from storage, then the failed rack's
-    # Vandermonde row
-    rack_pts = code.rack_points
-    target_row = _np(F, [[F.pow(rack_pts[e_star], i) for i in range(p.dbar)]])
-    responses = []
-    for h in helper_racks:
-        pts = [code.lam[p.node_index(h, g)] for g in range(p.u)]
-        weights = _np(F, [lagrange_leading_weights(F, pts)])
-        lead = []
-        for i in range(p.dbar):
-            cols = node_rows[[p.node_index(h, g) * p.dbar + i for g in range(p.u)], :]
-            lead.append(F.np_matmul(weights, cols)[0])
-        responses.append(F.np_matmul(target_row, np.stack(lead))[0])
-    # interpolate the failed rack's leading vector from the responses
-    vinv = _np(F, vandermonde_inverse(F, [rack_pts[h] for h in helper_racks]).to_rows())
-    h_star = F.np_matmul(vinv, np.stack(responses))  # (dbar x stripes)
-    # evaluate each local polynomial at the failed point: a fixed combination
-    # of the u-1 surviving values plus the leading coefficient
-    local_slots = [g for g in range(p.u) if g != g_star]
-    local_pts = [code.lam[p.node_index(e_star, g)] for g in local_slots]
-    target = code.lam[p.node_index(e_star, g_star)]
-    eval_w = lagrange_eval_weights(F, local_pts, target)
-    lead_coef = F.pow(target, p.u - 1)
-    for w, x in zip(eval_w, local_pts):
-        lead_coef = F.sub(lead_coef, F.mul(w, F.pow(x, p.u - 1)))
-    w_row = _np(F, [eval_w])
-    out = np.zeros((p.dbar, stripes), dtype=F.np_dtype)
-    for i in range(p.dbar):
-        local = node_rows[[p.node_index(e_star, g) * p.dbar + i for g in local_slots], :]
-        part = F.np_matmul(w_row, local)[0]
-        out[i] = F.np_add(part, F.np_mul(np.full(stripes, lead_coef, dtype=F.np_dtype), h_star[i]))
-    return out
+    helper, rebuild = code.repair_maps(failed, helper_racks)
+    local_rows = [
+        p.node_index(e_star, g) * a + i for g in range(p.u) if g != g_star for i in range(a)
+    ]
+    parts = [node_rows[local_rows, :]]
+    for row, h in zip(helper.to_rows(), helper_racks):
+        rack = node_rows[h * p.u * a : (h + 1) * p.u * a, :]
+        parts.append(F.np_matmul(_np(F, [row]), rack))
+    inputs = np.concatenate(parts)
+    rebuilt = F.np_matmul(_np(F, rebuild.to_rows()), inputs)
+    return rebuilt, inputs[: len(local_rows)], inputs[len(local_rows) :]

@@ -7,6 +7,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -187,21 +188,14 @@ def _load_encoded(path: str) -> EncodedFile:
 def cmd_repair(args) -> int:
     ef = _load_encoded(args.encoded)
     p = ef.params
-    field = ef.field
-    code = bulk.build_code(ef.code_type, p, field)
+    code = bulk.build_code(ef.code_type, p, ef.field)
     e_star, g_star = _parse_node(args.failed)
     idx = p.node_index(e_star, g_star)
+    helper_racks = _parse_policy(args.policy, args.seed).select(e_star, p.nbar, p.dbar)
     body = ef.body.copy()
     body_t = body.T
     alpha = ef.alpha
-    if p.dbar == 0:
-        helper_racks: list[int] = []
-    else:
-        helper_racks = _parse_policy(args.policy, args.seed).select(e_star, p.nbar, p.dbar)
-    if ef.code_type == MSRR:
-        repaired = bulk.msrr_repair_stripes(code, (e_star, g_star), helper_racks, body_t)
-    else:
-        repaired = bulk.mbrr_repair_stripes(code, (e_star, g_star), helper_racks, body_t)
+    repaired, local, responses = bulk.repair_stripes(code, (e_star, g_star), helper_racks, body_t)
     original = body_t[idx * alpha : (idx + 1) * alpha, :]
     if not np.array_equal(repaired, original):
         raise VerificationError(f"repaired node ({e_star},{g_star}) differs from stored data")
@@ -209,13 +203,11 @@ def cmd_repair(args) -> int:
     out = EncodedFile(
         code_type=ef.code_type,
         params=p,
-        field=field,
+        field=ef.field,
         body=body,
         payload_len=ef.payload_len,
     )
     Path(args.output).write_bytes(serialize_encoded(out))
-    cross = p.dbar * ef.stripes
-    intra = (p.u - 1) * alpha * ef.stripes
     sys.stdout.write(
         render_records(
             [
@@ -225,10 +217,10 @@ def cmd_repair(args) -> int:
                         "failed": f"{e_star},{g_star}",
                         "stripes": ef.stripes,
                         "helpers": ",".join(str(h) for h in helper_racks) or "none",
-                        "cross_rack_symbols": cross,
-                        "intra_rack_symbols": intra,
-                        "cross_per_stripe": p.dbar,
-                        "intra_per_stripe": (p.u - 1) * alpha,
+                        "cross_rack_symbols": responses.size,
+                        "intra_rack_symbols": local.size,
+                        "cross_per_stripe": responses.shape[0],
+                        "intra_per_stripe": local.shape[0],
                         "verified": "yes",
                     },
                 )
@@ -317,7 +309,10 @@ def cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rarc`` parser, built on first use and shared by every later
+    call in the process; each parse returns a fresh namespace."""
     parser = _Parser(prog="rarc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

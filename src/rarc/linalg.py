@@ -81,17 +81,19 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
+def dot(F, a: Sequence[int], b: Sequence[int]) -> int:
+    if len(a) != len(b):
+        raise ValueError("dimension mismatch")
+    acc = 0
+    for x, y in zip(a, b):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
+
+
 def mat_vec(F, A: Matrix, x: Sequence[int]) -> list[int]:
     if len(x) != A.cols:
         raise ValueError("dimension mismatch")
-    out = []
-    for i in range(A.rows):
-        base = i * A.cols
-        acc = 0
-        for j in range(A.cols):
-            acc = F.add(acc, F.mul(A.entries[base + j], x[j]))
-        out.append(acc)
-    return out
+    return [dot(F, A.row(i), x) for i in range(A.rows)]
 
 
 def mat_mul(F, A: Matrix, B: Matrix) -> Matrix:
@@ -285,17 +287,6 @@ def lagrange_leading_weights(F, points: Sequence[int]) -> list[int]:
     return weights
 
 
-def lagrange_leading_coefficient(F, points: Sequence[int], values: Sequence[int]) -> int:
-    """Coefficient of x^(m-1) of the degree-< m interpolating polynomial."""
-    if len(points) != len(values):
-        raise ValueError("points/values length mismatch")
-    weights = lagrange_leading_weights(F, points)
-    acc = 0
-    for y, w in zip(values, weights):
-        acc = F.add(acc, F.mul(y, w))
-    return acc
-
-
 def lagrange_eval_weights(F, points: Sequence[int], x0: int) -> list[int]:
     """Weights L_g(x0) with interp(x0) = sum_g y_g * L_g(x0)."""
     _check_points(points)
@@ -309,29 +300,3 @@ def lagrange_eval_weights(F, points: Sequence[int], x0: int) -> list[int]:
         out.append(F.div(num, den))
     return out
 
-
-def constrained_interpolate(
-    F,
-    points: Sequence[int],
-    values: Sequence[int],
-    fixed_leading: int,
-    degree_bound: int,
-) -> list[int]:
-    """Unique degree-<= degree_bound polynomial with a known top coefficient.
-
-    Takes exactly ``degree_bound`` points: subtract the fixed leading term
-    from the values and interpolate the residual, whose degree is below
-    ``degree_bound``.
-    """
-    if len(points) != degree_bound:
-        raise ValueError("need exactly degree_bound points")
-    if len(points) != len(values):
-        raise ValueError("points/values length mismatch")
-    if degree_bound == 0:
-        return [fixed_leading]
-    residual = [
-        F.sub(y, F.mul(fixed_leading, F.pow(x, degree_bound)))
-        for x, y in zip(points, values)
-    ]
-    coeffs = vandermonde_solve(F, points, residual)
-    return coeffs + [fixed_leading]

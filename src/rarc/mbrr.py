@@ -13,25 +13,31 @@ v_e the Vandermonde column at xi**(e*u).  Symmetry of S lets a helper
 rack hand the failed rack one inner product of its own leading vector;
 dbar such responses pin down h_{e*}, after which each per-rack polynomial
 is re-interpolated from the u - 1 surviving columns plus its now-known
-leading coefficient.
+leading coefficient.  ``MbrrCode.repair_maps`` writes that repair as two
+fixed linear maps, which every repair path applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import ParameterError, VerificationError
 from .field import FieldSpec, eval_points
 from .linalg import (
     Matrix,
-    constrained_interpolate,
-    lagrange_leading_coefficient,
+    dot,
+    lagrange_eval_weights,
+    lagrange_leading_weights,
     mat_mul,
+    mat_vec,
     poly_eval,
+    vandermonde_inverse,
     vandermonde_solve,
 )
-from .params import SystemParams, mbrr_point
+from .params import SystemParams, check_helper_racks, mbrr_point
 
 
 def j1_columns(p: SystemParams) -> list[int]:
@@ -109,6 +115,20 @@ def unpack_message(p: SystemParams, M: Matrix) -> list[int]:
     return data
 
 
+def check_message_structure(p: SystemParams, cell: Callable[[int, int], object]) -> None:
+    """Raise unless the message matrix read through ``cell(i, j)`` has a
+    symmetric block and a zero boundary tail.  A cell may be one symbol or
+    a row of symbols, one per stripe."""
+    j1 = j1_columns(p)
+    for t, col in enumerate(j1):
+        for i in range(p.dbar):
+            if t >= p.dbar:
+                if np.any(cell(i, col)):
+                    raise VerificationError("zero tail of the boundary columns is nonzero")
+            elif not np.array_equal(cell(i, col), cell(t, j1[i])):
+                raise VerificationError("symmetric block mismatch")
+
+
 def symmetric_block(p: SystemParams, M: Matrix) -> Matrix:
     """The dbar x dbar block S sitting in the first dbar boundary columns."""
     j1 = j1_columns(p)
@@ -138,6 +158,11 @@ class MbrrCode:
         self.field = field
         self.lam = lam
         self.rack_points = [field.pow(field.xi, e * params.u) for e in range(params.nbar)]
+        # per rack, the weights that read the leading coefficient off its u points
+        self.leading_weights = [
+            lagrange_leading_weights(field, lam[e * params.u : (e + 1) * params.u])
+            for e in range(params.nbar)
+        ]
         self._encoding_matrix: Matrix | None = None
 
     @classmethod
@@ -230,13 +255,60 @@ class MbrrCode:
             raise ParameterError(f"rack {e} out of range")
         if len(columns) != p.u:
             raise ParameterError(f"rack {e} must supply all {p.u} columns")
-        points = [self.lam[p.node_index(e, g)] for g in range(p.u)]
-        return [
-            lagrange_leading_coefficient(self.field, points, [col[i] for col in columns])
-            for i in range(p.dbar)
-        ]
+        w = self.leading_weights[e]
+        return [dot(self.field, w, [col[i] for col in columns]) for i in range(p.dbar)]
 
     # -- repair ----------------------------------------------------------------
+
+    def _helper_row(self, helper: int, failed_rack: int) -> list[int]:
+        # (g, i) -> x_{e*}**i * w_{helper, g}: the leading vector of the
+        # helper rack, read off its u columns, dotted with the failed rack's
+        # Vandermonde row
+        F = self.field
+        powers = [F.pow(self.rack_points[failed_rack], i) for i in range(self.params.dbar)]
+        return [F.mul(xi, w) for w in self.leading_weights[helper] for xi in powers]
+
+    def repair_maps(
+        self, failed: tuple[int, int], helper_racks: Sequence[int]
+    ) -> tuple[Matrix, Matrix]:
+        """The two linear maps that rebuild node (e*, g*) from the ordered
+        ``helper_racks``.
+
+        Row a of the first map is what helper rack ``helper_racks[a]``
+        applies to its u stored columns, node-major.  The second map is
+        the dbar x ((u - 1)*dbar + dbar) rebuild matrix applied to the
+        local columns (slots in order, node-major) followed by the
+        responses.  The responses are evaluations of the polynomial with
+        coefficient vector h_{e*} at the helpers' rack points (symmetry of
+        the block S swaps the roles of helper and failed rack), so
+        h_{e*} = V^-1 * responses; row i of the failed column is then the
+        local polynomial through the u - 1 surviving values with leading
+        coefficient h_{e*}[i], evaluated at the failed point:
+        sum_g L_g(lam*) * y_g + c * h_{e*}[i] with
+        c = lam*^(u-1) - sum_g L_g(lam*) * x_g^(u-1).
+        """
+        p = self.params
+        F = self.field
+        d = p.dbar
+        e_star, g_star = failed
+        target = self.lam[p.node_index(e_star, g_star)]  # bounds-checks the failed node
+        helper_racks = check_helper_racks(e_star, helper_racks, p.nbar, d)
+        helper = Matrix.from_rows([self._helper_row(h, e_star) for h in helper_racks])
+        slots = [g for g in range(p.u) if g != g_star]
+        local_pts = [self.lam[p.node_index(e_star, g)] for g in slots]
+        eval_w = lagrange_eval_weights(F, local_pts, target)
+        c = F.pow(target, p.u - 1)
+        for w, x in zip(eval_w, local_pts):
+            c = F.sub(c, F.mul(w, F.pow(x, p.u - 1)))
+        vinv = vandermonde_inverse(F, [self.rack_points[h] for h in helper_racks])
+        width = len(slots) * d
+        rebuild = Matrix(d, width + d)
+        for i in range(d):
+            for s, w in enumerate(eval_w):
+                rebuild.put(i, s * d + i, w)
+            for a in range(d):
+                rebuild.put(i, width + a, F.mul(c, vinv.at(i, a)))
+        return helper, rebuild
 
     def helper_response(
         self, helper: int, failed_rack: int, columns: Sequence[Sequence[int]]
@@ -244,17 +316,11 @@ class MbrrCode:
         """One symbol from a helper rack: the inner product of the failed
         rack's Vandermonde row with the helper's leading vector."""
         p = self.params
-        if helper == failed_rack:
-            raise ParameterError("failed rack cannot help itself")
-        if not 0 <= failed_rack < p.nbar:
-            raise ParameterError(f"rack {failed_rack} out of range")
-        h = self.leading_vector_from_storage(helper, columns)
-        F = self.field
-        x = self.rack_points[failed_rack]
-        acc = 0
-        for i in range(p.dbar):
-            acc = F.add(acc, F.mul(F.pow(x, i), h[i]))
-        return acc
+        check_helper_racks(failed_rack, [helper], p.nbar, 1)
+        if len(columns) != p.u or any(len(col) != p.dbar for col in columns):
+            raise ParameterError(f"rack {helper} must supply all {p.u} columns of {p.dbar} symbols")
+        stored = [sym for col in columns for sym in col]
+        return dot(self.field, self._helper_row(helper, failed_rack), stored)
 
     def repair(
         self,
@@ -263,62 +329,24 @@ class MbrrCode:
         helpers: Iterable[tuple[int, int]],
     ) -> list[int]:
         """Restore the failed node's column from u - 1 (slot, column) pairs of
-        its own rack plus dbar helper responses.
-
-        The responses are evaluations of the polynomial with coefficient
-        vector h_{e*} at the helpers' rack points (symmetry of the block S
-        swaps the roles of helper and failed rack), so interpolation yields
-        h_{e*}; each local polynomial then re-interpolates from its u - 1
-        surviving values and known leading coefficient.
-        """
+        its own rack plus dbar (helper rack, response) pairs, through
+        ``repair_maps``."""
         p = self.params
-        F = self.field
-        e_star, g_star = failed
-        p.node_index(e_star, g_star)
-        seen = set()
-        local_points = []
-        local_cols = []
+        helpers = list(helpers)
+        _, rebuild = self.repair_maps(failed, [e for e, _ in helpers])
+        cols: dict[int, Sequence[int]] = {}
         for g, col in local:
-            if g == g_star or not 0 <= g < p.u:
+            if g == failed[1] or not 0 <= g < p.u:
                 raise ParameterError(f"invalid local slot {g}")
-            if g in seen:
+            if g in cols:
                 raise ParameterError(f"duplicate local slot {g}")
             if len(col) != p.dbar:
                 raise ParameterError("stored columns carry dbar symbols")
-            seen.add(g)
-            local_points.append(self.lam[p.node_index(e_star, g)])
-            local_cols.append(list(col))
-        if len(local_points) != p.u - 1:
-            raise ParameterError(f"need the other {p.u - 1} columns of rack {e_star}")
-        resp = dict()
-        for e, s in helpers:
-            if not 0 <= e < p.nbar:
-                raise ParameterError(f"helper rack {e} out of range")
-            if e == e_star:
-                raise ParameterError("failed rack cannot help itself")
-            if e in resp:
-                raise ParameterError(f"duplicate helper rack {e}")
-            resp[e] = s
-        if len(resp) != p.dbar:
-            raise ParameterError(f"need exactly dbar={p.dbar} helper racks, got {len(resp)}")
-        helper_list = sorted(resp)
-        h_star = vandermonde_solve(
-            F,
-            [self.rack_points[e] for e in helper_list],
-            [resp[e] for e in helper_list],
-        )
-        target = self.lam[p.node_index(e_star, g_star)]
-        column = []
-        for i in range(p.dbar):
-            coeffs = constrained_interpolate(
-                F,
-                local_points,
-                [col[i] for col in local_cols],
-                h_star[i],
-                p.u - 1,
-            )
-            column.append(poly_eval(F, coeffs, target))
-        return column
+            cols[g] = col
+        if len(cols) != p.u - 1:
+            raise ParameterError(f"need the other {p.u - 1} columns of rack {failed[0]}")
+        symbols = [sym for g in sorted(cols) for sym in cols[g]] + [s for _, s in helpers]
+        return mat_vec(self.field, rebuild, symbols)
 
     # -- reconstruction --------------------------------------------------------
 
@@ -354,20 +382,10 @@ class MbrrCode:
             lam = self.lam[idx]
             for i in range(p.dbar):
                 if poly_eval(F, M.row(i), lam) != got[idx][i]:
-                    raise VerificationError(f"column of node {idx} is inconsistent")
-        self._check_structure(M)
+                    # which column is bad is unknown: k others define M
+                    raise VerificationError("the given node set is inconsistent")
+        check_message_structure(p, M.at)
         return unpack_message(p, M)
-
-    def _check_structure(self, M: Matrix) -> None:
-        p = self.params
-        j1 = j1_columns(p)
-        for t, col in enumerate(j1):
-            for i in range(p.dbar):
-                if t >= p.dbar:
-                    if M.at(i, col) != 0:
-                        raise VerificationError("zero tail of the boundary columns is nonzero")
-                elif M.at(i, col) != M.at(t, j1[i]):
-                    raise VerificationError("symmetric block mismatch")
 
     # -- structural check surface -------------------------------------------------
 

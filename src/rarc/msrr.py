@@ -11,7 +11,8 @@ so any k nodes recover the message; the stride-u block forces the per-rack
 symbol sums to lie in a dimension-dbar MDS code over the points
 ``xi**(e*u)``, so one aggregate symbol from each of any dbar helper racks
 pins down the failed rack's sum, and the missing symbol follows from the
-u - 1 local symbols.
+u - 1 local symbols.  ``MsrrCode.repair_maps`` writes that repair as two
+fixed linear maps, which every repair path applies.
 """
 
 from __future__ import annotations
@@ -22,8 +23,17 @@ from typing import Iterable, Sequence
 
 from .errors import ParameterError, SingularSystemError, VerificationError
 from .field import FieldSpec, eval_points
-from .linalg import Matrix, gaussian_solve, independent_prefix, invert, mat_mul, mat_vec
-from .params import SystemParams, msrr_point
+from .linalg import (
+    Matrix,
+    gaussian_solve,
+    independent_prefix,
+    invert,
+    lagrange_eval_weights,
+    lagrange_leading_weights,
+    mat_mul,
+    mat_vec,
+)
+from .params import SystemParams, check_helper_racks, msrr_point
 
 #: Enumeration guard for brute-force distance scans.
 MAX_ENUMERATION = 1 << 20
@@ -69,6 +79,8 @@ class MsrrCode:
         self.parity_set = parity_set
         self.enc = enc  # parity positions as a linear map of the message
         self.rack_points = [field.pow(field.xi, e * params.u) for e in range(params.nbar)]
+        # v_e = 1 / prod_{e' != e} (x_e - x_e'): the rack sums are v_e * f(x_e), deg f < dbar
+        self.rack_weights = lagrange_leading_weights(field, self.rack_points)
 
     @classmethod
     def build(
@@ -180,6 +192,34 @@ class MsrrCode:
 
     # -- repair ----------------------------------------------------------------
 
+    def repair_maps(
+        self, failed: tuple[int, int], helper_racks: Sequence[int]
+    ) -> tuple[Matrix, Matrix]:
+        """The two linear maps that rebuild node (e*, g*) from the ordered
+        ``helper_racks``.
+
+        Row a of the first map is what helper rack ``helper_racks[a]``
+        applies to its own u symbols: all ones, the rack sum.  The second
+        map is the 1 x (u - 1 + dbar) rebuild row applied to the local
+        symbols followed by the responses.  The checks with exponents i*u,
+        i < nbar - dbar, read sum_e x_e**i * s_e = 0 for the rack sums s_e
+        at x_e = xi**(e*u), so s_e = v_e * f(x_e) with deg f < dbar, and
+        interpolating f through the helpers gives the rack sum of e* as
+        sum_h gamma_h * s_h, gamma_h = (v_e* / v_h) * L_h(x_e*).  The
+        failed symbol is that sum minus the local symbols.
+        """
+        p = self.params
+        F = self.field
+        e_star = failed[0]
+        p.node_index(*failed)  # bounds check
+        helper_racks = check_helper_racks(e_star, helper_racks, p.nbar, p.dbar)
+        x, v = self.rack_points, self.rack_weights
+        lagrange = lagrange_eval_weights(F, [x[h] for h in helper_racks], x[e_star])
+        gammas = [F.mul(F.div(v[e_star], v[h]), w) for h, w in zip(helper_racks, lagrange)]
+        helper = Matrix(p.dbar, p.u, [1] * (p.dbar * p.u))
+        rebuild = Matrix(1, p.u - 1 + p.dbar, [F.neg(1)] * (p.u - 1) + gammas)
+        return helper, rebuild
+
     def helper_response(self, rack: int, symbols: Sequence[int]) -> int:
         """A helper rack's single-symbol aggregate: the sum of its u symbols."""
         if not 0 <= rack < self.params.nbar:
@@ -197,62 +237,26 @@ class MsrrCode:
         local: Sequence[int],
         helpers: Iterable[tuple[int, int]],
     ) -> int:
-        """Restore symbol (e*, g*) from u - 1 local symbols and dbar helper
-        aggregates.
-
-        The per-rack sums form a codeword of a dimension-dbar MDS code over
-        the points xi**(e*u): the stride-u checks leave nbar - dbar unknowns
-        (the non-helper racks' sums), solved as a square system.  The failed
-        symbol is the recovered rack sum minus the local symbols.
-        """
-        p = self.params
-        if p.dbar < 1:
+        """Restore symbol (e*, g*) from u - 1 local symbols and dbar
+        (helper rack, aggregate) pairs, through ``repair_maps``."""
+        if self.params.dbar < 1:
             raise ParameterError("no helper racks at dbar=0; use repair_local")
-        e_star, g_star = failed
-        p.node_index(e_star, g_star)  # bounds check
-        if len(local) != p.u - 1:
-            raise ParameterError(f"need the other {p.u - 1} symbols of rack {e_star}")
-        resp = dict()
-        for e, s in helpers:
-            if not 0 <= e < p.nbar:
-                raise ParameterError(f"helper rack {e} out of range")
-            if e == e_star:
-                raise ParameterError("failed rack cannot help itself")
-            if e in resp:
-                raise ParameterError(f"duplicate helper rack {e}")
-            resp[e] = s
-        if len(resp) != p.dbar:
-            raise ParameterError(f"need exactly dbar={p.dbar} helper racks, got {len(resp)}")
-        F = self.field
-        unknown = [e for e in range(p.nbar) if e not in resp]
-        rows = []
-        rhs = []
-        for i in range(p.nbar - p.dbar):
-            rows.append([F.pow(self.rack_points[e], i) for e in unknown])
-            acc = 0
-            for e, s in resp.items():
-                acc = F.add(acc, F.mul(F.pow(self.rack_points[e], i), s))
-            rhs.append(F.neg(acc))
-        sums = gaussian_solve(F, Matrix.from_rows(rows), rhs)
-        rack_sum = sums[unknown.index(e_star)]
-        for sym in local:
-            rack_sum = F.sub(rack_sum, sym)
-        return rack_sum
+        helpers = list(helpers)
+        _, rebuild = self.repair_maps(failed, [e for e, _ in helpers])
+        return self._rebuild(rebuild, failed, local, [s for _, s in helpers])
 
     def repair_local(self, failed: tuple[int, int], local: Sequence[int]) -> int:
         """dbar = 0 repair: every rack sums to zero, so the missing symbol is
         the negated sum of the other u - 1."""
-        p = self.params
-        if p.dbar != 0:
+        if self.params.dbar != 0:
             raise ParameterError("repair_local applies only at dbar=0")
-        e_star, g_star = failed
-        p.node_index(e_star, g_star)
-        if len(local) != p.u - 1:
-            raise ParameterError(f"need the other {p.u - 1} symbols of rack {e_star}")
-        acc = 0
-        for sym in local:
-            acc = self.field.add(acc, sym)
-        return self.field.neg(acc)
+        _, rebuild = self.repair_maps(failed, [])
+        return self._rebuild(rebuild, failed, local, [])
+
+    def _rebuild(self, rebuild: Matrix, failed, local: Sequence[int], responses: list[int]) -> int:
+        if len(local) != self.params.u - 1:
+            raise ParameterError(f"need the other {self.params.u - 1} symbols of rack {failed[0]}")
+        return mat_vec(self.field, rebuild, list(local) + responses)[0]
 
     # -- analysis ---------------------------------------------------------------
 

@@ -71,6 +71,23 @@ class SystemParams:
         return divmod(index, self.u)
 
 
+def check_helper_racks(failed_rack: int, helper_racks, nbar: int, count: int) -> list[int]:
+    """The helper racks as a list, if they are exactly ``count`` distinct
+    racks in [0, nbar) other than the failed rack, itself in range."""
+    racks = list(helper_racks)
+    if (
+        not 0 <= failed_rack < nbar
+        or len(racks) != count
+        or len(set(racks)) != count
+        or failed_rack in racks
+        or not all(0 <= h < nbar for h in racks)
+    ):
+        raise ParameterError(
+            f"need {count} distinct helper racks in [0, {nbar}) other than {failed_rack}"
+        )
+    return racks
+
+
 def cutset_bound(p: SystemParams, alpha, beta):
     """Maximum storable file size B* for per-node storage alpha and
     per-helper-rack download beta.

@@ -15,12 +15,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParameterError
+from .linalg import dot, mat_vec
 from .mbrr import MbrrCode, pack_message
 from .msrr import MsrrCode
 from .params import (
     MBRR,
     MSRR,
     SystemParams,
+    check_helper_racks,
     mbrr_point,
     msrr_point,
     overhead_pair,
@@ -93,13 +95,7 @@ class RepairPolicy:
                 raise ParameterError("random policy needs a seed")
             return sorted(random.Random(self.seed).sample(candidates, dbar))
         if self.kind == "explicit":
-            racks = list(self.racks or ())
-            if len(racks) != dbar or len(set(racks)) != dbar:
-                raise ParameterError(f"policy must select exactly {dbar} distinct racks")
-            for e in racks:
-                if e == failed_rack or not 0 <= e < nbar:
-                    raise ParameterError(f"policy selected invalid rack {e}")
-            return racks
+            return check_helper_racks(failed_rack, self.racks or (), nbar, dbar)
         raise ParameterError(f"unknown policy kind {self.kind!r}")
 
 
@@ -153,45 +149,30 @@ class Cluster:
         return cols
 
     def run_repair(self, policy: RepairPolicy) -> TrafficLog:
-        """Rebuild the failed node, driving helpers from their stored symbols
-        only, and return the metered traffic."""
+        """Rebuild the failed node through the code's ``repair_maps``: each
+        helper rack computes its response from its own stored symbols only.
+        Returns the metered traffic."""
         if self.failed is None:
             raise ParameterError("no failure pending")
         p = self.params
-        code = self.code
+        F = self.code.field
         e_star, g_star = self.failed
+        helper_racks = policy.select(e_star, p.nbar, p.dbar)
+        helper, rebuild = self.code.repair_maps(self.failed, helper_racks)
         log = TrafficLog()
-        local_entries = [
-            (g, self.nodes[p.node_index(e_star, g)])
-            for g in range(p.u)
-            if g != g_star
-        ]
-        for _g, data in local_entries:
-            if data is None:
-                raise ParameterError("local rack is incomplete")
-            log.record_intra(e_star, len(data))
-        if p.dbar == 0:
-            if code.code_type != MSRR:
-                raise ParameterError("dbar=0 repair exists only for the scalar code")
-            repaired = [code.repair_local((e_star, g_star), [d[0] for _g, d in local_entries])]
-        else:
-            helper_racks = policy.select(e_star, p.nbar, p.dbar)
-            responses = []
-            for h in helper_racks:
-                payload = self._rack_payload(h)
-                if code.code_type == MSRR:
-                    s = code.helper_response(h, [col[0] for col in payload])
-                else:
-                    s = code.helper_response(h, e_star, payload)
-                log.record_cross(h, e_star, 1)
-                responses.append((h, s))
-            if code.code_type == MSRR:
-                repaired = [
-                    code.repair((e_star, g_star), [d[0] for _g, d in local_entries], responses)
-                ]
-            else:
-                repaired = code.repair((e_star, g_star), local_entries, responses)
-        self.nodes[p.node_index(e_star, g_star)] = repaired
+        symbols: list[int] = []
+        for g in range(p.u):
+            if g != g_star:
+                data = self.nodes[p.node_index(e_star, g)]
+                if data is None:
+                    raise ParameterError("local rack is incomplete")
+                log.record_intra(e_star, len(data))
+                symbols.extend(data)
+        for row, h in zip(helper.to_rows(), helper_racks):
+            stored = [sym for col in self._rack_payload(h) for sym in col]
+            symbols.append(dot(F, row, stored))
+            log.record_cross(h, e_star, 1)
+        self.nodes[p.node_index(e_star, g_star)] = mat_vec(F, rebuild, symbols)
         self.failed = None
         return log
 

