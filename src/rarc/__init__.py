@@ -19,12 +19,7 @@ from .field import (
     make_field,
     multiplicative_order,
 )
-from .linalg import (
-    Matrix,
-    gaussian_solve,
-    lagrange_leading_weights,
-    vandermonde_solve,
-)
+from .linalg import Matrix, lagrange_leading_weights
 from .mbrr import MbrrCode, message_size, pack_message, unpack_message
 from .msrr import MsrrCode
 from .params import (
@@ -62,7 +57,6 @@ __all__ = [
     "derive_eta",
     "eval_points",
     "find_primitive",
-    "gaussian_solve",
     "lagrange_leading_weights",
     "make_field",
     "mbrr_point",
@@ -74,7 +68,6 @@ __all__ = [
     "pack_message",
     "sweep_table",
     "unpack_message",
-    "vandermonde_solve",
     "MBRR",
     "MSRR",
     "__version__",

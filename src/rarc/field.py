@@ -26,8 +26,19 @@ from .errors import ParameterError
 #: x^8 + x^4 + x^3 + x^2 + 1, a standard irreducible modulus for GF(2^8).
 GF256_MODULUS = 0x11D
 
-#: Outputs per pass of the prime-field matmul: 2 MiB of float64.
-_PRIME_SLICE = 1 << 18
+#: Outputs per pass of the prime-field matmul: 512 KiB of float64.  At
+#: 2 MiB the temporaries came from freshly faulted pages or from reused
+#: heap depending on what the process had freed before (glibc's dynamic
+#: mmap threshold), so throughput depended on call history.
+_PRIME_SLICE = 1 << 16
+
+#: Widest right-hand side the GF(256) matmul multiplies by one table gather;
+#: wider ones (file stripes) walk the nonzero entries of each row instead.
+_GF256_NARROW = 64
+
+#: Products per pass of the GF(256) gather: 512 KiB of table indices once
+#: ``take`` widens them to intp.
+_GF256_GATHER = 1 << 16
 
 #: Fields kept per process, keyed by (kind, modulus, u).
 _FIELD_CACHE_SIZE = 16
@@ -152,6 +163,18 @@ class FieldSpec:
     def np_dtype(self):
         return np.uint8 if self.q <= 256 else np.uint16
 
+    def symbol_array(self, values) -> np.ndarray:
+        """``values`` as an array of ``np_dtype``.
+
+        Raises ``ParameterError`` unless every value is an integer in
+        ``[0, q - 1]``: a plain cast would wrap a negative or oversized
+        value into some other symbol.
+        """
+        arr = np.asarray(values)
+        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= self.q):
+            raise ParameterError(f"symbols must be integers in [0, {self.q - 1}]")
+        return arr.astype(self.np_dtype)
+
     def np_add(self, a, b):
         raise NotImplementedError
 
@@ -246,11 +269,14 @@ class Gf256Field(FieldSpec):
         return self._mul_table[np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)]
 
     def np_matmul(self, a, b):
+        a = np.asarray(a, dtype=np.uint8)
+        b = np.asarray(b, dtype=np.uint8)
+        if b.shape[1] <= _GF256_NARROW:
+            return self._gather_matmul(a, b)
         # Walk only the nonzero entries of each row of ``a``: a 1 is a plain
         # XOR of the matching row of ``b``, any other constant c one lookup
         # in the product-table row of c.
-        a = np.asarray(a, dtype=np.uint8)
-        b = np.ascontiguousarray(b, dtype=np.uint8)
+        b = np.ascontiguousarray(b)
         table = self._mul_table
         out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
         for acc, row in zip(out, a.tolist()):
@@ -259,6 +285,21 @@ class Gf256Field(FieldSpec):
                     np.bitwise_xor(acc, b[j], out=acc)
                 elif c:
                     np.bitwise_xor(acc, table[c].take(b[j]), out=acc)
+        return out
+
+    def _gather_matmul(self, a, b):
+        # Every product a[r, j] * b[j, c] is one lookup in the flattened
+        # product table at (a << 8) | b, laid out (row, column, j) so the
+        # XOR-reduce runs along contiguous memory; rows of ``a`` go through
+        # in blocks of at most _GF256_GATHER products.
+        flat = self._mul_table.ravel()
+        high = (a.astype(np.uint16) << 8)[:, None, :]
+        low = b.T[None, :, :]
+        out = np.empty((a.shape[0], b.shape[1]), dtype=np.uint8)
+        step = max(1, _GF256_GATHER // max(1, a.shape[1] * b.shape[1]))
+        for r in range(0, a.shape[0], step):
+            products = flat.take(high[r : r + step] | low)
+            np.bitwise_xor.reduce(products, axis=2, out=out[r : r + step])
         return out
 
     def __repr__(self):

@@ -1,13 +1,17 @@
 """Exact dense linear algebra over a finite field.
 
-Every encode/repair/reconstruct path in the package reduces to one of the
-solvers here.  All arithmetic is exact; solutions substitute back into
-their systems with equality, never within a tolerance.
+Codes derive their fixed linear maps with the routines here: the
+Vandermonde inverse, Lagrange weights, and exact inversion and
+independence sweeps at build time.  All arithmetic is exact; results
+substitute back into their systems with equality, never within a
+tolerance.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import SingularSystemError
 
@@ -135,31 +139,6 @@ def _eliminate(F, aug: list[list[int]], cols: int) -> int:
     return piv
 
 
-def rank(F, A: Matrix) -> int:
-    work = [row[:] for row in A.to_rows()]
-    return _eliminate(F, work, A.cols)
-
-
-def gaussian_solve(F, A: Matrix, b: Sequence[int]) -> list[int]:
-    """Solve A x = b for square or overdetermined-consistent A.
-
-    Pivoting is deterministic: first nonzero entry in column order.
-    """
-    if len(b) != A.rows:
-        raise ValueError("dimension mismatch")
-    if A.rows < A.cols:
-        raise SingularSystemError("underdetermined system")
-    aug = [A.row(i) + [b[i]] for i in range(A.rows)]
-    piv = _eliminate(F, aug, A.cols)
-    if piv < A.cols:
-        raise SingularSystemError("singular system")
-    for r in range(piv, A.rows):
-        if aug[r][A.cols] != 0:
-            raise SingularSystemError("inconsistent system")
-    # Reduced row-echelon: pivot rows are unit columns in order.
-    return [aug[i][A.cols] for i in range(A.cols)]
-
-
 def invert(F, A: Matrix) -> Matrix:
     if A.rows != A.cols:
         raise SingularSystemError("only square matrices invert")
@@ -211,62 +190,43 @@ def _check_points(points: Sequence[int]) -> None:
         raise SingularSystemError("duplicate interpolation points")
 
 
-def _lagrange_numerators(F, points: Sequence[int]):
-    """Yield (num, den) per point: num lists the coefficients of
-    prod_{j != i} (X - x_j), lowest degree first, and den = num(x_i).
+def vandermonde_inverse(F, points: Sequence[int]) -> np.ndarray:
+    """Inverse of the m x m Vandermonde matrix V[i][j] = points[i]**j.
 
-    Builds the master polynomial prod_i (X - x_i) once and deflates it by
-    each (X - x_i) with synthetic division from the top, so all m pairs
-    cost O(m^2).
+    Column i holds the coefficients of the i-th Lagrange basis polynomial
+    prod_{j != i} (X - x_j) / prod_{j != i} (x_i - x_j), so ``V^-1 @ y``
+    interpolates y at the points.  The master polynomial prod_i (X - x_i)
+    is built once and deflated by every (X - x_i) at once with synthetic
+    division from the top (Bjorck and Pereyra, Math. Comp. 24, 1970):
+    O(m) elementwise array steps over all points, exact, and returned as
+    an array of ``F.np_dtype``.
     """
     _check_points(points)
     m = len(points)
-    root = [1]
-    for x in points:
-        root = [0] + root
-        for j in range(len(root) - 1):
-            root[j] = F.sub(root[j], F.mul(root[j + 1], x))
-    for x in points:
-        num = [0] * m
+    x = np.array(points, dtype=F.np_dtype)
+    neg = F.np_neg(x)
+    root = np.zeros(m + 1, dtype=F.np_dtype)  # lowest degree first
+    root[0] = 1
+    for c in neg:
+        step = F.np_mul(root, c)  # root * (X - x_i)
+        step[1:] = F.np_add(step[1:], root[:-1])
+        root = step
+    # num[j, i] is the X**j coefficient of root / (X - x_i)
+    num = np.empty((m, m), dtype=F.np_dtype)
+    if m:
         num[m - 1] = root[m]
-        for j in range(m - 1, 0, -1):
-            num[j - 1] = F.add(root[j], F.mul(num[j], x))
-        yield num, poly_eval(F, num, x)
-
-
-def vandermonde_solve(F, points: Sequence[int], values: Sequence[int]) -> list[int]:
-    """Coefficients of the unique degree-< m polynomial through m points.
-
-    Lagrange synthesis: build the master root polynomial, deflate it per
-    point, and rescale -- an independent route from ``gaussian_solve`` on
-    the explicit Vandermonde system.
-    """
-    if len(points) != len(values):
-        raise ValueError("points/values length mismatch")
-    m = len(points)
-    coeffs = [0] * m
-    for (num, den), y in zip(_lagrange_numerators(F, points), values):
-        scale = F.div(y, den)
-        for j in range(m):
-            coeffs[j] = F.add(coeffs[j], F.mul(num[j], scale))
-    return coeffs
-
-
-def vandermonde_inverse(F, points: Sequence[int]) -> Matrix:
-    """Inverse of the m x m Vandermonde matrix V[i][j] = points[i]**j.
-
-    Column i holds the coefficients of the i-th Lagrange basis polynomial,
-    so ``vandermonde_inverse(F, x) @ y`` interpolates y at x.  Exact, and
-    O(m^2) field operations against O(m^3) for ``invert`` (the classic
-    route of Bjorck and Pereyra, Math. Comp. 24, 1970).
-    """
-    m = len(points)
-    out = Matrix(m, m)
-    for i, (num, den) in enumerate(_lagrange_numerators(F, points)):
-        scale = F.inv(den)
-        for j in range(m):
-            out.entries[j * m + i] = F.mul(num[j], scale)
-    return out
+    for j in range(m - 1, 0, -1):
+        num[j - 1] = F.np_add(F.np_mul(num[j], x), root[j])
+    # prod_{j != i} (x_i - x_j), multiplying the columns of the difference
+    # table together pairwise
+    diff = F.np_add(x[:, None], neg[None, :])
+    np.fill_diagonal(diff, 1)
+    while diff.shape[1] > 1:
+        half = diff.shape[1] // 2
+        paired = F.np_mul(diff[:, :half], diff[:, half : 2 * half])
+        diff = np.concatenate([paired, diff[:, 2 * half :]], axis=1)
+    scale = np.array([F.inv(d) for d in diff[:, :1].ravel().tolist()], dtype=F.np_dtype)
+    return F.np_mul(num, scale[None, :])
 
 
 def lagrange_leading_weights(F, points: Sequence[int]) -> list[int]:

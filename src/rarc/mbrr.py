@@ -15,12 +15,19 @@ dbar such responses pin down h_{e*}, after which each per-rack polynomial
 is re-interpolated from the u - 1 surviving columns plus its now-known
 leading coefficient.  ``MbrrCode.repair_maps`` writes that repair as two
 fixed linear maps, which every repair path applies.
+
+Encoding applies one generator, the message layout composed with
+M -> M * Lambda, and reconstruction the inverse of the Vandermonde matrix
+on k given points, to a block of stripe columns; the scalar ``encode``,
+``reconstruct`` and ``Cluster.store`` pass single columns through the same
+code.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,11 +40,16 @@ from .linalg import (
     lagrange_leading_weights,
     mat_mul,
     mat_vec,
-    poly_eval,
     vandermonde_inverse,
-    vandermonde_solve,
 )
-from .params import SystemParams, check_helper_racks, mbrr_point
+from .params import SystemParams, check_helper_racks, check_node_set, mbrr_point
+
+#: Message layouts kept per process, one per SystemParams.
+_LAYOUT_CACHE_SIZE = 16
+
+#: Helper-rack Vandermonde inverses kept per code, one per ordered helper
+#: set; nbar = 10 racks and dbar = 4 give 210 sets in rack order.
+_HELPER_INVERSE_CACHE_SIZE = 256
 
 
 def j1_columns(p: SystemParams) -> list[int]:
@@ -55,8 +67,10 @@ def _triangle_index(i: int, j: int, d: int) -> int:
     return i * d - i * (i - 1) // 2 + (j - i)
 
 
-def message_layout(p: SystemParams) -> list[list[int | None]]:
-    """dbar x k grid mapping matrix cells to data-symbol indices.
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def message_layout(p: SystemParams) -> tuple[tuple[int | None, ...], ...]:
+    """dbar x k grid mapping matrix cells to data-symbol indices, computed
+    once per parameter set and immutable.
 
     Symmetric-block cells share an index with their mirror; structural
     zeros map to ``None``.  Fixing this layout makes serialization
@@ -79,7 +93,7 @@ def message_layout(p: SystemParams) -> list[list[int | None]]:
     for cidx, col in enumerate(j2_columns(p)):
         for i in range(d):
             grid[i][col] = base + cidx * d + i
-    return grid
+    return tuple(tuple(row) for row in grid)
 
 
 def message_size(p: SystemParams) -> int:
@@ -115,18 +129,43 @@ def unpack_message(p: SystemParams, M: Matrix) -> list[int]:
     return data
 
 
-def check_message_structure(p: SystemParams, cell: Callable[[int, int], object]) -> None:
-    """Raise unless the message matrix read through ``cell(i, j)`` has a
-    symmetric block and a zero boundary tail.  A cell may be one symbol or
-    a row of symbols, one per stripe."""
-    j1 = j1_columns(p)
-    for t, col in enumerate(j1):
-        for i in range(p.dbar):
-            if t >= p.dbar:
-                if np.any(cell(i, col)):
-                    raise VerificationError("zero tail of the boundary columns is nonzero")
-            elif not np.array_equal(cell(i, col), cell(t, j1[i])):
-                raise VerificationError("symmetric block mismatch")
+@dataclass(frozen=True)
+class CellLayout:
+    """The message layout as index arrays into the k*dbar cells of M
+    transposed: cell (i, j) of M sits at j*dbar + i.
+
+    ``filled`` and ``source`` pair every cell that carries a data symbol
+    with that symbol's index; ``data`` names one cell per data symbol.
+    The message structure holds when every ``mirror`` cell equals its
+    ``mirrored`` cell of the symmetric block and every ``zero`` cell of
+    the boundary tail is zero.
+    """
+
+    filled: np.ndarray
+    source: np.ndarray
+    data: np.ndarray
+    mirror: np.ndarray
+    mirrored: np.ndarray
+    zero: np.ndarray
+
+    @classmethod
+    def of(cls, p: SystemParams) -> "CellLayout":
+        d = p.dbar
+        grid = message_layout(p)
+        cells = [(j * d + i, grid[i][j]) for j in range(p.k) for i in range(d)]
+        filled = [(c, b) for c, b in cells if b is not None]
+        data = {b: c for c, b in filled}
+        j1 = j1_columns(p)
+        pairs = [(j1[t] * d + i, j1[i] * d + t) for t in range(d) for i in range(t)]
+        arrays = (
+            [c for c, _ in filled],
+            [b for _, b in filled],
+            [data[b] for b in range(len(data))],
+            [a for a, _ in pairs],
+            [b for _, b in pairs],
+            [col * d + i for col in j1[d:] for i in range(d)],
+        )
+        return cls(*(np.array(a, dtype=np.intp) for a in arrays))
 
 
 def symmetric_block(p: SystemParams, M: Matrix) -> Matrix:
@@ -163,7 +202,11 @@ class MbrrCode:
             lagrange_leading_weights(field, lam[e * params.u : (e + 1) * params.u])
             for e in range(params.nbar)
         ]
-        self._encoding_matrix: Matrix | None = None
+        # the inverse on the helper racks' points depends on the helper racks
+        # alone, so repairs of any node share it
+        self._helper_inverse = functools.lru_cache(maxsize=_HELPER_INVERSE_CACHE_SIZE)(
+            self._derive_helper_inverse
+        )
 
     @classmethod
     def build(cls, params: SystemParams, field: FieldSpec) -> "MbrrCode":
@@ -187,26 +230,52 @@ class MbrrCode:
     def beta(self) -> int:
         return mbrr_point(self.params).beta
 
-    def _lambda_matrix(self) -> Matrix:
-        if self._encoding_matrix is None:
-            F = self.field
-            rows = [
-                [F.pow(self.lam[c], j) for c in range(self.params.n)]
-                for j in range(self.params.k)
-            ]
-            self._encoding_matrix = Matrix.from_rows(rows)
-        return self._encoding_matrix
+    # -- fixed maps ------------------------------------------------------------
+
+    @functools.cached_property
+    def powers(self) -> np.ndarray:
+        """(n x k) Lambda transposed, read-only: row c holds lam[c]**j."""
+        F = self.field
+        lam = np.array(self.lam, dtype=F.np_dtype)
+        out = np.empty((self.params.n, self.params.k), dtype=F.np_dtype)
+        out[:, 0] = 1
+        for j in range(1, self.params.k):
+            out[:, j] = F.np_mul(out[:, j - 1], lam)
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def layout(self) -> CellLayout:
+        return CellLayout.of(self.params)
+
+    @functools.cached_property
+    def generator(self) -> np.ndarray:
+        """(n*dbar x B) map from data symbols to node-major stored symbols,
+        read-only: the message layout composed with M -> M * Lambda."""
+        p = self.params
+        filled, source = self.layout.filled, self.layout.source
+        gen = np.zeros((p.n, p.dbar, self.B), dtype=self.field.np_dtype)
+        gen[:, filled % p.dbar, source] = self.powers[:, filled // p.dbar]
+        gen = gen.reshape(p.n * p.dbar, self.B)
+        gen.setflags(write=False)
+        return gen
 
     # -- encoding ------------------------------------------------------------
 
+    def encode_stripes(self, data: np.ndarray) -> np.ndarray:
+        """Encode a (B x stripes) data block into (n*dbar x stripes) symbols."""
+        if data.shape[0] != self.B:
+            raise ParameterError(f"data block must have {self.B} rows")
+        return self.field.np_matmul(self.generator, data)
+
     def encode(self, M: Matrix) -> Matrix:
         """Code matrix C = M * Lambda; node (e, g) stores column (e*u + g)."""
-        if (M.rows, M.cols) != (self.params.dbar, self.params.k):
-            raise ParameterError(f"message matrix must be {self.params.dbar}x{self.params.k}")
-        return mat_mul(self.field, M, self._lambda_matrix())
-
-    def encode_data(self, data: Sequence[int]) -> Matrix:
-        return self.encode(pack_message(self.params, data))
+        p = self.params
+        if (M.rows, M.cols) != (p.dbar, p.k):
+            raise ParameterError(f"message matrix must be {p.dbar}x{p.k}")
+        cells = self.field.symbol_array(M.entries).reshape(p.dbar, p.k).T
+        stored = self.field.np_matmul(self.powers, cells)  # row c: node c's column
+        return Matrix(p.dbar, p.n, stored.T.ravel().tolist())
 
     def node_column(self, C: Matrix, index: int) -> list[int]:
         self.params.node_pair(index)  # bounds check
@@ -268,6 +337,10 @@ class MbrrCode:
         powers = [F.pow(self.rack_points[failed_rack], i) for i in range(self.params.dbar)]
         return [F.mul(xi, w) for w in self.leading_weights[helper] for xi in powers]
 
+    def _derive_helper_inverse(self, helper_racks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        vinv = vandermonde_inverse(self.field, [self.rack_points[h] for h in helper_racks])
+        return tuple(map(tuple, vinv.tolist()))
+
     def repair_maps(
         self, failed: tuple[int, int], helper_racks: Sequence[int]
     ) -> tuple[Matrix, Matrix]:
@@ -300,14 +373,14 @@ class MbrrCode:
         c = F.pow(target, p.u - 1)
         for w, x in zip(eval_w, local_pts):
             c = F.sub(c, F.mul(w, F.pow(x, p.u - 1)))
-        vinv = vandermonde_inverse(F, [self.rack_points[h] for h in helper_racks])
+        vinv = self._helper_inverse(tuple(helper_racks))
         width = len(slots) * d
         rebuild = Matrix(d, width + d)
         for i in range(d):
             for s, w in enumerate(eval_w):
                 rebuild.put(i, s * d + i, w)
             for a in range(d):
-                rebuild.put(i, width + a, F.mul(c, vinv.at(i, a)))
+                rebuild.put(i, width + a, F.mul(c, vinv[i][a]))
         return helper, rebuild
 
     def helper_response(
@@ -320,6 +393,7 @@ class MbrrCode:
         if len(columns) != p.u or any(len(col) != p.dbar for col in columns):
             raise ParameterError(f"rack {helper} must supply all {p.u} columns of {p.dbar} symbols")
         stored = [sym for col in columns for sym in col]
+        self.field.symbol_array(stored)
         return dot(self.field, self._helper_row(helper, failed_rack), stored)
 
     def repair(
@@ -346,46 +420,62 @@ class MbrrCode:
         if len(cols) != p.u - 1:
             raise ParameterError(f"need the other {p.u - 1} columns of rack {failed[0]}")
         symbols = [sym for g in sorted(cols) for sym in cols[g]] + [s for _, s in helpers]
+        self.field.symbol_array(symbols)
         return mat_vec(self.field, rebuild, symbols)
 
     # -- reconstruction --------------------------------------------------------
 
-    def reconstruct(self, available: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
-        """Recover the data file from any k node columns.
+    def reconstruct_stripes(self, nodes: Sequence[int], symbols: np.ndarray) -> np.ndarray:
+        """Recover (B x stripes) data from the column rows of >= k nodes.
 
-        Each row polynomial interpolates from k evaluations; extra columns
-        and the message-matrix structure (symmetric block, zero boundary
-        tail) act as corruption checks.
+        ``symbols`` holds dbar consecutive rows per entry of ``nodes``.  The
+        inverse Vandermonde matrix on the k lowest-indexed nodes maps their
+        rows to M transposed; extra nodes and the message structure are
+        verified per stripe.
         """
         p = self.params
         F = self.field
-        got: dict[int, list[int]] = {}
+        d = p.dbar
+        nodes = check_node_set(p, nodes)
+        if symbols.shape[0] != len(nodes) * d:
+            raise ParameterError("dbar symbol rows per node required")
+        stripes = symbols.shape[1]
+        rows = symbols.reshape(len(nodes), d * stripes)  # one row per node
+        order = sorted(range(len(nodes)), key=nodes.__getitem__)
+        base, extra = order[: p.k], order[p.k :]
+        vinv = vandermonde_inverse(F, [self.lam[nodes[a]] for a in base])
+        cells = F.np_matmul(vinv, rows[base])  # cells[j, i*stripes + s] = M[i][j]
+        if extra:
+            # the k base columns define every stripe's M, so a mismatch cannot
+            # say which of the given columns is bad
+            predicted = F.np_matmul(self.powers[[nodes[a] for a in extra]], cells)
+            bad = (predicted != rows[extra]).reshape(len(extra), d, stripes).any(axis=(0, 1))
+            if bad.any():
+                raise VerificationError(
+                    f"the given node set is inconsistent, first at stripe {int(bad.argmax())}"
+                )
+        cells = cells.reshape(p.k * d, stripes)
+        layout = self.layout
+        if (cells[layout.mirror] != cells[layout.mirrored]).any():
+            raise VerificationError("symmetric block mismatch")
+        if cells[layout.zero].any():
+            raise VerificationError("zero tail of the boundary columns is nonzero")
+        return cells[layout.data]
+
+    def reconstruct(self, available: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
+        """Recover the data file from any k node columns, as one stripe
+        through ``reconstruct_stripes``: extra columns and the
+        message-matrix structure (symmetric block, zero boundary tail) act
+        as corruption checks."""
+        p = self.params
+        nodes, symbols = [], []
         for idx, col in available:
-            if not 0 <= idx < p.n:
-                raise ParameterError(f"node index {idx} out of range")
-            if idx in got:
-                raise ParameterError(f"duplicate node index {idx}")
             if len(col) != p.dbar:
                 raise ParameterError("stored columns carry dbar symbols")
-            got[idx] = list(col)
-        if len(got) < p.k:
-            raise ParameterError(f"need at least k={p.k} columns, got {len(got)}")
-        order = sorted(got)
-        base, extra = order[: p.k], order[p.k :]
-        points = [self.lam[idx] for idx in base]
-        M = Matrix(p.dbar, p.k)
-        for i in range(p.dbar):
-            coeffs = vandermonde_solve(F, points, [got[idx][i] for idx in base])
-            for j, c in enumerate(coeffs):
-                M.put(i, j, c)
-        for idx in extra:
-            lam = self.lam[idx]
-            for i in range(p.dbar):
-                if poly_eval(F, M.row(i), lam) != got[idx][i]:
-                    # which column is bad is unknown: k others define M
-                    raise VerificationError("the given node set is inconsistent")
-        check_message_structure(p, M.at)
-        return unpack_message(p, M)
+            nodes.append(idx)
+            symbols.extend(col)
+        column = self.field.symbol_array(symbols).reshape(len(symbols), 1)
+        return self.reconstruct_stripes(nodes, column)[:, 0].tolist()
 
     # -- structural check surface -------------------------------------------------
 

@@ -13,27 +13,33 @@ symbol sums to lie in a dimension-dbar MDS code over the points
 pins down the failed rack's sum, and the missing symbol follows from the
 u - 1 local symbols.  ``MsrrCode.repair_maps`` writes that repair as two
 fixed linear maps, which every repair path applies.
+
+Encoding applies the systematic generator, and reconstruction a map built
+from one Vandermonde inverse, to a block of stripe columns; the scalar
+``encode`` and ``reconstruct`` pass a single column through the same code.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import replace
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ParameterError, SingularSystemError, VerificationError
 from .field import FieldSpec, eval_points
 from .linalg import (
     Matrix,
-    gaussian_solve,
     independent_prefix,
     invert,
     lagrange_eval_weights,
     lagrange_leading_weights,
     mat_mul,
     mat_vec,
+    vandermonde_inverse,
 )
-from .params import SystemParams, check_helper_racks, msrr_point
+from .params import SystemParams, check_helper_racks, check_node_set, msrr_point
 
 #: Enumeration guard for brute-force distance scans.
 MAX_ENUMERATION = 1 << 20
@@ -134,61 +140,83 @@ class MsrrCode:
     def beta(self) -> int:
         return msrr_point(self.params).beta
 
+    # -- fixed maps ------------------------------------------------------------
+
+    @functools.cached_property
+    def generator(self) -> np.ndarray:
+        """(n x B) systematic generator, read-only: codeword = G @ message."""
+        gen = np.zeros((self.params.n, self.B), dtype=self.field.np_dtype)
+        gen[self.info_set, range(self.B)] = 1
+        gen[self.parity_set] = self.enc.to_rows()
+        gen.setflags(write=False)
+        return gen
+
+    @functools.cached_property
+    def checks(self) -> np.ndarray:
+        """The parity-check matrix H as a read-only array."""
+        arr = np.array(self.H.to_rows(), dtype=self.field.np_dtype)
+        arr.setflags(write=False)
+        return arr
+
     # -- encoding ------------------------------------------------------------
+
+    def encode_stripes(self, data: np.ndarray) -> np.ndarray:
+        """Encode a (B x stripes) message block into (n x stripes) symbols."""
+        if data.shape[0] != self.B:
+            raise ParameterError(f"message block must have {self.B} rows")
+        return self.field.np_matmul(self.generator, data)
 
     def encode(self, message: Sequence[int]) -> list[int]:
         """Systematic codeword: message symbols sit verbatim at the
         information positions, parity positions satisfy the checks."""
         if len(message) != self.B:
             raise ParameterError(f"message must have {self.B} symbols, got {len(message)}")
-        codeword = [0] * self.params.n
-        for pos, sym in zip(self.info_set, message):
-            codeword[pos] = sym
-        for pos, sym in zip(self.parity_set, mat_vec(self.field, self.enc, list(message))):
-            codeword[pos] = sym
-        return codeword
+        column = self.field.symbol_array(message).reshape(self.B, 1)
+        return self.encode_stripes(column)[:, 0].tolist()
 
     def parity_ok(self, codeword: Sequence[int]) -> bool:
         return all(v == 0 for v in mat_vec(self.field, self.H, list(codeword)))
 
     # -- reconstruction --------------------------------------------------------
 
-    def reconstruct(self, available: Iterable[tuple[int, int]]) -> list[int]:
-        """Recover the message from any k (node index, symbol) pairs.
+    def reconstruct_stripes(self, nodes: Sequence[int], symbols: np.ndarray) -> np.ndarray:
+        """Recover (B x stripes) messages from the rows of >= k nodes.
 
-        Solves for the erased symbols with all check rows restricted to the
-        erased columns.  Corrupted inputs surface as a solver inconsistency
-        or as a failed parity check on the assembled codeword.
+        ``symbols`` holds one row per entry of ``nodes``.  The check
+        exponents include 0 ... n - k - 1 and at most n - k nodes are
+        erased, so the first |E| check rows on the erased columns E are the
+        transposed Vandermonde matrix V on their points: the erased symbols
+        are -(V^-1)^T times those rows' syndrome of the given symbols.  The
+        filled codewords are re-checked against every parity row;
+        inconsistent stripes raise.
         """
-        got = dict()
-        for idx, sym in available:
-            if not 0 <= idx < self.params.n:
-                raise ParameterError(f"node index {idx} out of range")
-            if idx in got:
-                raise ParameterError(f"duplicate node index {idx}")
-            got[idx] = sym
-        if len(got) < self.params.k:
-            raise ParameterError(f"need at least k={self.params.k} symbols, got {len(got)}")
+        p = self.params
         F = self.field
-        codeword = [0] * self.params.n
-        for idx, sym in got.items():
-            codeword[idx] = sym
-        erased = [c for c in range(self.params.n) if c not in got]
+        nodes = check_node_set(p, nodes)
+        if symbols.shape[0] != len(nodes):
+            raise ParameterError("one symbol row per node required")
+        full = np.zeros((p.n, symbols.shape[1]), dtype=F.np_dtype)
+        full[nodes] = symbols
+        given = set(nodes)
+        erased = [c for c in range(p.n) if c not in given]
         if erased:
-            rhs = []
-            rows = []
-            for r, t in enumerate(self.T):
-                acc = 0
-                for idx, sym in got.items():
-                    acc = F.add(acc, F.mul(self.H.at(r, idx), sym))
-                rhs.append(F.neg(acc))
-                rows.append([self.H.at(r, c) for c in erased])
-            solution = gaussian_solve(F, Matrix.from_rows(rows), rhs)
-            for c, sym in zip(erased, solution):
-                codeword[c] = sym
-        if not self.parity_ok(codeword):
-            raise VerificationError("supplied symbols are not consistent with the code")
-        return [codeword[c] for c in self.info_set]
+            vinv = vandermonde_inverse(F, [self.lam[c] for c in erased])
+            syndrome = F.np_matmul(self.checks[: len(erased), nodes], symbols)
+            full[erased] = F.np_neg(F.np_matmul(vinv.T, syndrome))
+        if F.np_matmul(self.checks, full).any():
+            raise VerificationError("stripe fails its parity checks")
+        return full[self.info_set]
+
+    def reconstruct(self, available: Iterable[tuple[int, int]]) -> list[int]:
+        """Recover the message from any k (node index, symbol) pairs, as one
+        column through ``reconstruct_stripes``; corrupted inputs surface as
+        a failed parity check."""
+        nodes, syms = [], []
+        for idx, sym in available:
+            nodes.append(idx)
+            syms.append(sym)
+        column = self.field.symbol_array(syms).reshape(len(syms), 1)
+        return self.reconstruct_stripes(nodes, column)[:, 0].tolist()
 
     # -- repair ----------------------------------------------------------------
 
@@ -226,6 +254,7 @@ class MsrrCode:
             raise ParameterError(f"rack {rack} out of range")
         if len(symbols) != self.params.u:
             raise ParameterError(f"rack {rack} must supply all {self.params.u} symbols")
+        self.field.symbol_array(symbols)
         acc = 0
         for sym in symbols:
             acc = self.field.add(acc, sym)
@@ -256,7 +285,9 @@ class MsrrCode:
     def _rebuild(self, rebuild: Matrix, failed, local: Sequence[int], responses: list[int]) -> int:
         if len(local) != self.params.u - 1:
             raise ParameterError(f"need the other {self.params.u - 1} symbols of rack {failed[0]}")
-        return mat_vec(self.field, rebuild, list(local) + responses)[0]
+        symbols = list(local) + responses
+        self.field.symbol_array(symbols)
+        return mat_vec(self.field, rebuild, symbols)[0]
 
     # -- analysis ---------------------------------------------------------------
 
@@ -270,11 +301,7 @@ class MsrrCode:
             raise ParameterError(
                 f"{q}**{self.B} codewords exceed the enumeration guard {MAX_ENUMERATION}"
             )
-        best = self.params.n + 1
-        for message in itertools.product(range(q), repeat=self.B):
-            if not any(message):
-                continue
-            weight = sum(1 for sym in self.encode(message) if sym != 0)
-            if weight < best:
-                best = weight
-        return best
+        # every message as one column, the zero message first
+        messages = np.indices((q,) * self.B).reshape(self.B, -1)[:, 1:]
+        codewords = self.encode_stripes(messages.astype(self.field.np_dtype))
+        return int(np.count_nonzero(codewords, axis=0).min())

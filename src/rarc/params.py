@@ -88,6 +88,20 @@ def check_helper_racks(failed_rack: int, helper_racks, nbar: int, count: int) ->
     return racks
 
 
+def check_node_set(p: SystemParams, nodes) -> list[int]:
+    """The node indices as a list, if they are at least k distinct indices
+    in [0, n)."""
+    nodes = list(nodes)
+    if len(set(nodes)) != len(nodes):
+        raise ParameterError("duplicate node indices")
+    outside = [idx for idx in nodes if not 0 <= idx < p.n]
+    if outside:
+        raise ParameterError(f"node index {outside[0]} out of range")
+    if len(nodes) < p.k:
+        raise ParameterError(f"need at least k={p.k} nodes, got {len(nodes)}")
+    return nodes
+
+
 def cutset_bound(p: SystemParams, alpha, beta):
     """Maximum storable file size B* for per-node storage alpha and
     per-helper-rack download beta.

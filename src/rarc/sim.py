@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import ParameterError
 from .linalg import dot, mat_vec
-from .mbrr import MbrrCode, pack_message
+from .mbrr import MbrrCode
 from .msrr import MsrrCode
 from .params import (
     MBRR,
@@ -113,16 +113,13 @@ class Cluster:
         self.failed: tuple[int, int] | None = None
 
     def store(self, data: Sequence[int]) -> "Cluster":
-        """Encode B payload symbols and place alpha symbols on every node."""
+        """Encode B payload symbols as one stripe column through the code's
+        generator and place alpha symbols on every node."""
         code = self.code
         if self.failed is not None:
             raise ParameterError("repair the pending failure before restoring")
-        if code.code_type == MSRR:
-            codeword = code.encode(data)
-            self.nodes = [[sym] for sym in codeword]
-        else:
-            C = code.encode(pack_message(self.params, data))
-            self.nodes = [C.col(idx) for idx in range(self.params.n)]
+        column = code.field.symbol_array(data).reshape(-1, 1)
+        self.nodes = code.encode_stripes(column).reshape(self.params.n, code.alpha).tolist()
         return self
 
     def node_data(self, node: tuple[int, int] | int) -> list[int] | None:

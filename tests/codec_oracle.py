@@ -1,0 +1,194 @@
+"""Per-call scalar encode and reconstruct routes, kept as the oracle for the
+fixed maps every production path applies.
+
+The codes encode and reconstruct by applying a generator or a
+reconstruct map, built from one vectorized Vandermonde inverse, to a
+block of stripe columns.  The functions here reach the same symbols by
+the routes the maps replaced, one symbol at a time in plain Python:
+
+- exact Gaussian elimination, and the rank it reports;
+- Lagrange synthesis, O(m^2) field operations per interpolation or
+  Vandermonde inverse;
+- minimum storage: the parity positions as the linear map ``enc`` of the
+  message, and reconstruction by solving every check row restricted to
+  the erased columns, then re-checking the whole codeword;
+- minimum bandwidth: C = M * Lambda by matrix product, and reconstruction
+  by interpolating each row of M through k node columns, checking any
+  extra columns and the message structure, then unpacking.
+"""
+
+from rarc.errors import ParameterError, SingularSystemError, VerificationError
+from rarc.linalg import Matrix, _check_points, _eliminate, mat_mul, mat_vec, poly_eval
+from rarc.mbrr import j1_columns, unpack_message
+
+
+# -- exact solvers ----------------------------------------------------------------
+
+
+def rank(F, A):
+    work = [row[:] for row in A.to_rows()]
+    return _eliminate(F, work, A.cols)
+
+
+def gaussian_solve(F, A, b):
+    """Solve A x = b for square or overdetermined-consistent A.
+
+    Pivoting is deterministic: first nonzero entry in column order.
+    """
+    if len(b) != A.rows:
+        raise ValueError("dimension mismatch")
+    if A.rows < A.cols:
+        raise SingularSystemError("underdetermined system")
+    aug = [A.row(i) + [b[i]] for i in range(A.rows)]
+    piv = _eliminate(F, aug, A.cols)
+    if piv < A.cols:
+        raise SingularSystemError("singular system")
+    for r in range(piv, A.rows):
+        if aug[r][A.cols] != 0:
+            raise SingularSystemError("inconsistent system")
+    # Reduced row-echelon: pivot rows are unit columns in order.
+    return [aug[i][A.cols] for i in range(A.cols)]
+
+
+def _lagrange_numerators(F, points):
+    """Yield (num, den) per point: num lists the coefficients of
+    prod_{j != i} (X - x_j), lowest degree first, and den = num(x_i)."""
+    _check_points(points)
+    m = len(points)
+    root = [1]
+    for x in points:
+        root = [0] + root
+        for j in range(len(root) - 1):
+            root[j] = F.sub(root[j], F.mul(root[j + 1], x))
+    for x in points:
+        num = [0] * m
+        num[m - 1] = root[m]
+        for j in range(m - 1, 0, -1):
+            num[j - 1] = F.add(root[j], F.mul(num[j], x))
+        yield num, poly_eval(F, num, x)
+
+
+def vandermonde_solve(F, points, values):
+    """Coefficients of the unique degree-< m polynomial through m points."""
+    if len(points) != len(values):
+        raise ValueError("points/values length mismatch")
+    m = len(points)
+    coeffs = [0] * m
+    for (num, den), y in zip(_lagrange_numerators(F, points), values):
+        scale = F.div(y, den)
+        for j in range(m):
+            coeffs[j] = F.add(coeffs[j], F.mul(num[j], scale))
+    return coeffs
+
+
+def vandermonde_inverse(F, points):
+    """The inverse of V[i][j] = points[i]**j as a Matrix, one point at a time."""
+    m = len(points)
+    out = Matrix(m, m)
+    for i, (num, den) in enumerate(_lagrange_numerators(F, points)):
+        scale = F.inv(den)
+        for j in range(m):
+            out.entries[j * m + i] = F.mul(num[j], scale)
+    return out
+
+
+# -- minimum storage ----------------------------------------------------------------
+
+
+def _available(n, k, available):
+    got = dict()
+    for idx, sym in available:
+        if not 0 <= idx < n:
+            raise ParameterError(f"node index {idx} out of range")
+        if idx in got:
+            raise ParameterError(f"duplicate node index {idx}")
+        got[idx] = sym
+    if len(got) < k:
+        raise ParameterError(f"need at least k={k} nodes, got {len(got)}")
+    return got
+
+
+def msrr_encode(code, message):
+    """Systematic codeword: the message at the information positions, the
+    parity positions as ``enc`` applied to the message."""
+    if len(message) != code.B:
+        raise ParameterError(f"message must have {code.B} symbols")
+    codeword = [0] * code.params.n
+    for pos, sym in zip(code.info_set, message):
+        codeword[pos] = sym
+    for pos, sym in zip(code.parity_set, mat_vec(code.field, code.enc, list(message))):
+        codeword[pos] = sym
+    return codeword
+
+
+def msrr_reconstruct(code, available):
+    """Solve every check row on the erased columns, then re-check."""
+    F = code.field
+    got = _available(code.params.n, code.params.k, available)
+    codeword = [0] * code.params.n
+    for idx, sym in got.items():
+        codeword[idx] = sym
+    erased = [c for c in range(code.params.n) if c not in got]
+    if erased:
+        rhs = []
+        rows = []
+        for r in range(len(code.T)):
+            acc = 0
+            for idx, sym in got.items():
+                acc = F.add(acc, F.mul(code.H.at(r, idx), sym))
+            rhs.append(F.neg(acc))
+            rows.append([code.H.at(r, c) for c in erased])
+        solution = gaussian_solve(F, Matrix.from_rows(rows), rhs)
+        for c, sym in zip(erased, solution):
+            codeword[c] = sym
+    if not code.parity_ok(codeword):
+        raise VerificationError("supplied symbols are not consistent with the code")
+    return [codeword[c] for c in code.info_set]
+
+
+# -- minimum bandwidth --------------------------------------------------------------
+
+
+def lambda_matrix(code):
+    """k x n: row j holds every point to the power j."""
+    F = code.field
+    return Matrix.from_rows(
+        [[F.pow(code.lam[c], j) for c in range(code.params.n)] for j in range(code.params.k)]
+    )
+
+
+def mbrr_encode(code, M):
+    """C = M * Lambda; node c stores column c."""
+    return mat_mul(code.field, M, lambda_matrix(code))
+
+
+def _check_structure(p, M):
+    j1 = j1_columns(p)
+    for t, col in enumerate(j1):
+        for i in range(p.dbar):
+            if t >= p.dbar:
+                if M.at(i, col):
+                    raise VerificationError("zero tail of the boundary columns is nonzero")
+            elif M.at(i, col) != M.at(t, j1[i]):
+                raise VerificationError("symmetric block mismatch")
+
+
+def mbrr_reconstruct(code, available):
+    """Interpolate every row of M through the k lowest-indexed columns,
+    check the extra columns and the structure, and unpack."""
+    p = code.params
+    F = code.field
+    got = _available(p.n, p.k, ((idx, list(col)) for idx, col in available))
+    order = sorted(got)
+    base, extra = order[: p.k], order[p.k :]
+    points = [code.lam[idx] for idx in base]
+    M = Matrix(p.dbar, p.k)
+    for i in range(p.dbar):
+        for j, c in enumerate(vandermonde_solve(F, points, [got[idx][i] for idx in base])):
+            M.put(i, j, c)
+    for idx in extra:
+        for i in range(p.dbar):
+            if poly_eval(F, M.row(i), code.lam[idx]) != got[idx][i]:
+                raise VerificationError("the given node set is inconsistent")
+    _check_structure(p, M)
+    return unpack_message(p, M)

@@ -1,0 +1,166 @@
+"""The scalar API against the per-call routes it replaced, and its input checks.
+
+``encode`` and ``reconstruct`` pass one column through the same fixed maps
+as the batch codecs; ``codec_oracle`` keeps the per-symbol routes they
+replaced.  Both must agree on every message and node set, and a corrupted
+node must fail both.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rarc.errors import ParameterError, SingularSystemError, VerificationError
+from rarc.field import Gf256Field, PrimeField
+from rarc.linalg import Matrix
+from rarc.mbrr import MbrrCode, message_layout, pack_message
+from rarc.msrr import MsrrCode
+from rarc.params import SystemParams
+from rarc.sim import Cluster
+
+import codec_oracle as oracle
+
+GF256 = Gf256Field(5)
+GF13 = PrimeField(13, 4)
+
+ORACLE_PARAMS = [
+    (SystemParams(n=50, u=5, k=44, dbar=4), GF256),
+    (SystemParams(n=132, u=4, k=120, dbar=4), PrimeField(137, 4)),
+    (SystemParams(n=12, u=4, k=8, dbar=1), GF13),
+    (SystemParams(n=12, u=4, k=8, dbar=0), GF13),
+]
+MSRR_CODES = [MsrrCode.build(p, f) for p, f in ORACLE_PARAMS]
+MBRR_CODES = [MbrrCode.build(p, f) for p, f in ORACLE_PARAMS if p.dbar >= 1]
+FAILURES = (VerificationError, SingularSystemError)
+
+
+def symbols(code, count):
+    q = code.field.q
+    return st.lists(
+        st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1)),
+        min_size=count,
+        max_size=count,
+    )
+
+
+@st.composite
+def node_set(draw, code):
+    """At least k distinct nodes in random order, and maybe one to damage."""
+    p = code.params
+    size = draw(st.integers(p.k, p.n))
+    nodes = draw(st.permutations(range(p.n)))[:size]
+    damaged = draw(st.one_of(st.none(), st.sampled_from(nodes)))
+    return nodes, damaged
+
+
+def outcome(route, *args):
+    try:
+        return route(*args)
+    except FAILURES as exc:
+        return type(exc)
+
+
+def assert_same_outcome(got, expected):
+    if expected in FAILURES:
+        assert got is VerificationError
+    else:
+        assert got == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_msrr_scalar_routes_equal_oracle(data):
+    code = data.draw(st.sampled_from(MSRR_CODES))
+    message = data.draw(symbols(code, code.B))
+    codeword = code.encode(message)
+    assert codeword == oracle.msrr_encode(code, message)
+    nodes, damaged = data.draw(node_set(code))
+    supplied = [(i, codeword[i]) for i in nodes]
+    if damaged is not None:
+        delta = data.draw(st.integers(1, code.field.q - 1))
+        supplied = [(i, code.field.add(s, delta) if i == damaged else s) for i, s in supplied]
+    got = outcome(code.reconstruct, supplied)
+    assert_same_outcome(got, outcome(oracle.msrr_reconstruct, code, supplied))
+    if damaged is None:
+        assert got == message
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_mbrr_scalar_routes_equal_oracle(data):
+    code = data.draw(st.sampled_from(MBRR_CODES))
+    p = code.params
+    message = data.draw(symbols(code, code.B))
+    M = pack_message(p, message)
+    C = code.encode(M)
+    assert C == oracle.mbrr_encode(code, M)
+    nodes, damaged = data.draw(node_set(code))
+    supplied = [(i, C.col(i)) for i in nodes]
+    if damaged is not None:
+        row = data.draw(st.integers(0, p.dbar - 1))
+        delta = data.draw(st.integers(1, code.field.q - 1))
+        col = C.col(damaged)
+        col[row] = code.field.add(col[row], delta)
+        supplied = [(i, col if i == damaged else c) for i, c in supplied]
+    got = outcome(code.reconstruct, supplied)
+    assert_same_outcome(got, outcome(oracle.mbrr_reconstruct, code, supplied))
+    if damaged is None:
+        assert got == message
+
+
+def test_mbrr_encode_of_an_unstructured_matrix_is_m_times_lambda():
+    code = MBRR_CODES[2]
+    p = code.params
+    M = Matrix(p.dbar, p.k, [(3 * j + 1) % code.field.q for j in range(p.dbar * p.k)])
+    assert code.encode(M) == oracle.mbrr_encode(code, M)
+
+
+def test_message_layout_is_built_once_and_immutable():
+    p = SystemParams(n=50, u=5, k=44, dbar=4)
+    layout = message_layout(p)
+    assert message_layout(SystemParams(n=50, u=5, k=44, dbar=4)) is layout
+    assert isinstance(layout, tuple) and all(isinstance(row, tuple) for row in layout)
+
+
+# ---------------------------------------------------------------------------
+# out-of-range symbols
+# ---------------------------------------------------------------------------
+
+SMALL = [
+    (SystemParams(n=10, u=5, k=8, dbar=1), GF256),
+    (SystemParams(n=12, u=4, k=8, dbar=1), GF13),
+]
+# (field, value): too large for a byte, negative, and a GF(13) value that
+# used to be stored unreduced
+BAD = [(GF256, 300), (GF256, -1), (GF13, 16)]
+
+
+def entry_points(code, bad):
+    """Every scalar entry point, fed one out-of-range symbol."""
+    p = code.params
+    if code.code_type == "msrr":
+        yield lambda: code.encode([bad] + [0] * (code.B - 1))
+        yield lambda: code.reconstruct([(0, bad)] + [(i, 0) for i in range(1, p.n)])
+        yield lambda: code.repair((0, 0), [bad] + [0] * (p.u - 2), [(1, 0)])
+        yield lambda: code.helper_response(1, [0] * (p.u - 1) + [bad])
+    else:
+        M = Matrix(p.dbar, p.k, [bad] + [0] * (p.dbar * p.k - 1))
+        column, damaged = [0] * p.dbar, [bad] + [0] * (p.dbar - 1)
+        yield lambda: code.encode(M)
+        yield lambda: code.reconstruct([(0, damaged)] + [(i, column) for i in range(1, p.n)])
+        local = [(1, damaged)] + [(g, column) for g in range(2, p.u)]
+        yield lambda: code.repair((0, 0), local, [(1, 0)])
+        yield lambda: code.helper_response(1, 0, [column] * (p.u - 1) + [damaged])
+    yield lambda: Cluster(code).store([bad] + [0] * (code.B - 1))
+
+
+@pytest.mark.parametrize("field,bad", BAD, ids=["gf256-300", "gf256-minus-1", "gf13-16"])
+@pytest.mark.parametrize("code_type", [MsrrCode, MbrrCode])
+def test_scalar_entry_points_reject_out_of_range_symbols(field, bad, code_type):
+    p = next(p for p, f in SMALL if f is field)
+    code = code_type.build(p, field)
+    calls = list(entry_points(code, bad))
+    assert len(calls) == 5
+    for call in calls:
+        with pytest.raises(ParameterError, match="symbols must be integers"):
+            call()

@@ -1,12 +1,15 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rarc import field as field_module
 from rarc.errors import ParameterError
 from rarc.field import (
+    _GF256_NARROW,
     GF256_MODULUS,
     Gf256Field,
     PrimeField,
@@ -269,10 +272,15 @@ def test_np_kernels_match_scalar_ops():
 KERNEL_FIELDS = [Gf256Field(5), PrimeField(131, 2), PrimeField(137, 4), PrimeField(307, 2)]
 
 
+# GF(256) multiplies up to _GF256_NARROW columns by one table gather and
+# walks the rows of wider ones
+WIDTHS = st.one_of(st.integers(0, 7), st.sampled_from([_GF256_NARROW, _GF256_NARROW + 1]))
+
+
 @st.composite
-def matmul_case(draw):
-    f = draw(st.sampled_from(KERNEL_FIELDS))
-    m, k, n = draw(st.integers(0, 6)), draw(st.integers(0, 8)), draw(st.integers(0, 7))
+def matmul_case(draw, fields=KERNEL_FIELDS, widths=WIDTHS):
+    f = draw(st.sampled_from(fields))
+    m, k, n = draw(st.integers(0, 6)), draw(st.integers(0, 8)), draw(widths)
     # 0 and 1 are the entries the GF(256) kernel special-cases
     entry = st.one_of(st.sampled_from([0, 1]), st.integers(0, f.q - 1))
 
@@ -303,3 +311,14 @@ def test_np_matmul_matches_scalar_triple_loop(case):
     assert got.shape == (m, n)
     assert got.dtype == f.np_dtype
     assert got.tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(matmul_case(KERNEL_FIELDS[:1], st.integers(0, 7)), st.integers(1, 40))
+def test_gf256_gather_in_row_blocks_matches_row_walk(case, gather):
+    f, a, b = case
+    # padding b past _GF256_NARROW columns sends it down the row walk
+    walked = f.np_matmul(a, np.concatenate([b, np.zeros((b.shape[0], _GF256_NARROW), np.uint8)], 1))
+    with mock.patch.object(field_module, "_GF256_GATHER", gather):
+        got = f.np_matmul(a, b)
+    assert got.tolist() == walked[:, : b.shape[1]].tolist()

@@ -8,7 +8,6 @@ from rarc.errors import SingularSystemError
 from rarc.field import Gf256Field, PrimeField, make_field
 from rarc.linalg import (
     Matrix,
-    gaussian_solve,
     invert,
     lagrange_eval_weights,
     lagrange_leading_weights,
@@ -16,10 +15,10 @@ from rarc.linalg import (
     mat_vec,
     poly_eval,
     independent_prefix,
-    rank,
     vandermonde_inverse,
-    vandermonde_solve,
 )
+import codec_oracle as oracle
+from codec_oracle import gaussian_solve, rank, vandermonde_solve
 from repair_oracle import constrained_interpolate, lagrange_leading_coefficient
 
 F7 = make_field(6, 2, "prime")
@@ -199,8 +198,14 @@ def test_independent_prefix_skips_dependent_vectors_and_stops_at_limit():
 # ---------------------------------------------------------------------------
 
 # Each field with the largest k it serves: the GF(256) and GF(137) file
-# codes (n=50, k=44 and n=132, k=120), and two-byte symbols over GF(307).
-VANDERMONDE_FIELDS = [(Gf256Field(5), 44), (PrimeField(137, 4), 120), (PrimeField(307, 2), 60)]
+# codes (n=50, k=44 and n=132, k=120), two-byte symbols over GF(307), and
+# the small GF(13) code (n=12, k=8).
+VANDERMONDE_FIELDS = [
+    (Gf256Field(5), 44),
+    (PrimeField(137, 4), 120),
+    (PrimeField(307, 2), 60),
+    (PrimeField(13, 4), 8),
+]
 
 
 @st.composite
@@ -214,11 +219,22 @@ def vandermonde_case(draw):
 @settings(max_examples=20, deadline=None)
 @given(vandermonde_case())
 @example((VANDERMONDE_FIELDS[1][0], list(range(16, 136))))  # m = k = 120 over GF(137)
+@example((VANDERMONDE_FIELDS[0][0], list(range(212, 256))))  # m = k = 44 over GF(256)
+@example((VANDERMONDE_FIELDS[3][0], [0, 12, 1, 11, 2, 10, 3, 9]))  # m = k = 8 over GF(13)
+@example((VANDERMONDE_FIELDS[3][0], [5]))  # m = 1
+@example((VANDERMONDE_FIELDS[0][0], [0]))  # m = 1 at the zero point
 def test_vandermonde_inverse_equals_invert_of_explicit_matrix(case):
     F, points = case
     m = len(points)
     explicit = Matrix.from_rows([[F.pow(x, j) for j in range(m)] for x in points])
-    assert vandermonde_inverse(F, points) == invert(F, explicit)
+    got = vandermonde_inverse(F, points)
+    assert got.dtype == F.np_dtype
+    assert got.tolist() == invert(F, explicit).to_rows()
+    assert got.tolist() == oracle.vandermonde_inverse(F, points).to_rows()
+
+
+def test_vandermonde_inverse_of_no_points_is_empty():
+    assert vandermonde_inverse(F7, []).shape == (0, 0)
 
 
 def test_vandermonde_inverse_rejects_duplicate_points():

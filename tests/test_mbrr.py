@@ -110,14 +110,14 @@ def test_encode_single_row_hand_instance():
     # dbar=1, k=2: the stored symbol is m0 + m1 * lam at every node
     code = build(4, 2, 2, 1)
     p, f = code.params, code.field
-    data = [5, 2]
+    data = [4, 2]
     M = pack_message(p, data)
     # layout: boundary column 1 holds the block, column 0 the remaining symbol
-    assert M.to_rows() == [[2, 5]]
+    assert M.to_rows() == [[2, 4]]
     C = code.encode(M)
     for idx in range(p.n):
         lam = code.lam[idx]
-        assert C.at(0, idx) == f.add(2, f.mul(5, lam))
+        assert C.at(0, idx) == f.add(2, f.mul(4, lam))
 
 
 def test_encode_matches_polynomial_evaluation():
@@ -427,7 +427,7 @@ def test_end_to_end_identity():
     rng = random.Random(173)
     for code in (build(8, 2, 5, 1), build(10, 2, 7, 2), build(10, 5, 8, 1, "gf256")):
         data = random_data(code, rng)
-        C = code.encode_data(data)
+        C = code.encode(pack_message(code.params, data))
         p = code.params
         got = code.reconstruct([(i, code.node_column(C, i)) for i in range(p.k)])
         assert got == data

@@ -5,9 +5,10 @@ import pytest
 
 from rarc.errors import ParameterError, SingularSystemError, VerificationError
 from rarc.field import make_field
-from rarc.linalg import rank
 from rarc.msrr import MsrrCode, check_exponents
 from rarc.params import SystemParams, cutset_bound, msrr_point
+
+from codec_oracle import rank
 
 
 def build(n, u, k, dbar, preference="prime", **kwargs):
