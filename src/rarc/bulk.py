@@ -1,13 +1,13 @@
-"""Batch stripe codecs.
+"""The code cache and the repair applier.
 
-The per-stripe operations in ``msrr``/``mbrr`` are a handful of small
-linear maps that do not depend on the stripe contents.  Each code derives
-them (its generator once, a reconstruct map per node set, repair maps per
-failed node and helper set) and applies them across a block of stripes
-with the field's vectorized kernels; the scalar API passes one column
-through the same code.  Built codes, and with them their generators, are
-kept for the life of the process.  Stripe matrices hold one stripe per
-column.
+The per-stripe operations of both codes are a handful of small linear
+maps that do not depend on the stripe contents.  Each code derives them
+and applies its generator and reconstruct maps itself
+(``encode_stripes``, ``reconstruct_stripes``).  This module keeps built
+codes, and with them their generators, for the life of the process, and
+holds the one code that applies a code's ``repair_maps`` to stored rows:
+``repair_stripes``, behind both ``rarc repair`` and ``sim.Cluster``.
+Stripe matrices hold one stripe per column.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ from .params import MSRR, SystemParams
 _CODE_CACHE_SIZE = 8
 
 
-def _np(field, rows: Sequence[Sequence[int]]) -> np.ndarray:
-    return np.array(rows, dtype=field.np_dtype)
-
-
 @functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
 def build_code(code_type: str, params: SystemParams, field) -> MsrrCode | MbrrCode:
     """The built code for ``params`` over ``field``, shared by every call in
@@ -36,45 +32,6 @@ def build_code(code_type: str, params: SystemParams, field) -> MsrrCode | MbrrCo
     if code_type == MSRR:
         return MsrrCode.build(params, field)
     return MbrrCode.build(params, field)
-
-
-def msrr_generator(code: MsrrCode) -> np.ndarray:
-    """(n x B) systematic generator; codeword = G @ message.  Derived once
-    per code and read-only."""
-    return code.generator
-
-
-def msrr_encode_stripes(code: MsrrCode, data: np.ndarray) -> np.ndarray:
-    """Encode a (B x stripes) message block into (n x stripes) symbols."""
-    return code.encode_stripes(data)
-
-
-def msrr_reconstruct_stripes(
-    code: MsrrCode, nodes: Sequence[int], symbols: np.ndarray
-) -> np.ndarray:
-    """Recover (B x stripes) messages from the rows of >= k nodes."""
-    return code.reconstruct_stripes(nodes, symbols)
-
-
-def mbrr_generator(code: MbrrCode) -> np.ndarray:
-    """(n*dbar x B) map from data symbols to node-major stored symbols.
-    Derived once per code and read-only."""
-    return code.generator
-
-
-def mbrr_encode_stripes(code: MbrrCode, data: np.ndarray) -> np.ndarray:
-    """Encode a (B x stripes) data block into (n*dbar x stripes) symbols."""
-    return code.encode_stripes(data)
-
-
-def mbrr_reconstruct_stripes(
-    code: MbrrCode, nodes: Sequence[int], symbols: np.ndarray
-) -> np.ndarray:
-    """Recover (B x stripes) data from the column rows of >= k nodes."""
-    return code.reconstruct_stripes(nodes, symbols)
-
-
-# -- repair, both codes -------------------------------------------------------------
 
 
 def repair_stripes(
@@ -86,24 +43,32 @@ def repair_stripes(
     """Recompute the failed node's (alpha x stripes) rows from the full body
     (``node_rows`` is (n*alpha x stripes)) without reading them.
 
-    Each helper rack applies its row of ``code.repair_maps`` to its own u
-    nodes; the rebuild map then takes the local rows and those responses.
-    Returns the rebuilt rows, the local rows read and the responses, so
-    the caller can count what crossed which rack boundary.
+    The local rows and the rows of every helper rack are gathered once.
+    All dbar responses come from one product with the helper rows of
+    ``code.repair_maps`` laid out block-diagonally, so response a reads
+    only the u nodes of ``helper_racks[a]``; a second product applies the
+    rebuild map to the local rows followed by the responses.  Returns the
+    rebuilt rows, the local rows read and the responses, so the caller
+    can count what crossed which rack boundary.
     """
-    p = code.params
     F = code.field
     a = code.alpha
     e_star, g_star = failed
     helper_racks = list(helper_racks)
     helper, rebuild = code.repair_maps(failed, helper_racks)
-    local_rows = [
-        p.node_index(e_star, g) * a + i for g in range(p.u) if g != g_star for i in range(a)
-    ]
-    parts = [node_rows[local_rows, :]]
-    for row, h in zip(helper.to_rows(), helper_racks):
-        rack = node_rows[h * p.u * a : (h + 1) * p.u * a, :]
-        parts.append(F.np_matmul(_np(F, [row]), rack))
-    inputs = np.concatenate(parts)
-    rebuilt = F.np_matmul(_np(F, rebuild.to_rows()), inputs)
-    return rebuilt, inputs[: len(local_rows)], inputs[len(local_rows) :]
+    dbar, width = helper.shape  # width: stored rows per rack
+    rack = e_star * width
+    parts = [node_rows[rack : rack + g_star * a], node_rows[rack + (g_star + 1) * a : rack + width]]
+    parts += [node_rows[h * width : (h + 1) * width] for h in helper_racks]
+    # row-major whatever the body's layout, so the kernels read whole rows
+    rows = np.empty(((dbar + 1) * width - a, node_rows.shape[1]), dtype=node_rows.dtype)
+    np.concatenate(parts, out=rows)
+    local, remote = rows[: width - a], rows[width - a :]
+    # Row i of the (dbar x dbar*width) block-diagonal map holds helper[i]
+    # from column i*width on: in flat memory that is offset i*(dbar+1)*width,
+    # i.e. the first width entries of row i of a (dbar x (dbar+1)*width) array.
+    flat = np.zeros(dbar * (dbar + 1) * width, dtype=F.np_dtype)
+    flat.reshape(dbar, (dbar + 1) * width)[:, :width] = helper
+    responses = F.np_matmul(flat[: dbar * dbar * width].reshape(dbar, dbar * width), remote)
+    rebuilt = F.np_matmul(rebuild, np.concatenate([local, responses]))
+    return rebuilt, local, responses

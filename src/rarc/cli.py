@@ -63,17 +63,28 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _parse_int_list(text: str) -> list[int]:
+#: Exclusive bound on the table's nbar and dbar values: the u16 range of the
+#: encoded-file header.
+_U16_LIMIT = 1 << 16
+
+
+def _parse_int_list(text: str, bound: int, what: str) -> list[int]:
+    """Comma-separated integers and ``a-b`` ranges, each in [0, bound).
+
+    Every value and range end is checked before a range is expanded, so
+    the list never holds more than the caller can accept."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        lo, sep, hi = part.partition("-")
+        first = int(lo)
+        last = int(hi) if sep else first
+        for value in (first, last):
+            if not 0 <= value < bound:
+                raise ParameterError(f"{what} {value} outside [0, {bound})")
+        out.extend(range(first, last + 1))
     if not out:
         raise ParameterError(f"empty list {text!r}")
     return out
@@ -87,12 +98,12 @@ def _parse_node(text: str) -> tuple[int, int]:
     return e, g
 
 
-def _parse_policy(text: str, seed: int | None) -> RepairPolicy:
+def _parse_policy(text: str, seed: int | None, nbar: int) -> RepairPolicy:
     if text == "lowest":
         return RepairPolicy.lowest_index()
     if text == "random":
         return RepairPolicy.uniform_random(0 if seed is None else seed)
-    return RepairPolicy.explicit(_parse_int_list(text))
+    return RepairPolicy.explicit(_parse_int_list(text, nbar, "helper rack"))
 
 
 def _system_params(args) -> SystemParams:
@@ -142,15 +153,11 @@ def _encoded_from_payload(args, payload: bytes) -> EncodedFile:
     padded = np.zeros(stripes * B, dtype=field.np_dtype)
     padded[: symbols.size] = symbols
     data = padded.reshape(stripes, B).T
-    if args.code == MSRR:
-        body = bulk.msrr_encode_stripes(code, data).T
-    else:
-        body = bulk.mbrr_encode_stripes(code, data).T
     return EncodedFile(
         code_type=args.code,
         params=params,
         field=field,
-        body=body,
+        body=code.encode_stripes(data).T,
         payload_len=len(payload),
     )
 
@@ -191,7 +198,7 @@ def cmd_repair(args) -> int:
     code = bulk.build_code(ef.code_type, p, ef.field)
     e_star, g_star = _parse_node(args.failed)
     idx = p.node_index(e_star, g_star)
-    helper_racks = _parse_policy(args.policy, args.seed).select(e_star, p.nbar, p.dbar)
+    helper_racks = _parse_policy(args.policy, args.seed, p.nbar).select(e_star, p.nbar, p.dbar)
     body = ef.body.copy()
     body_t = body.T
     alpha = ef.alpha
@@ -235,17 +242,10 @@ def cmd_reconstruct(args) -> int:
     p = ef.params
     field = ef.field
     code = bulk.build_code(ef.code_type, p, field)
-    nodes = sorted(set(_parse_int_list(args.nodes)))
-    outside = [idx for idx in nodes if not 0 <= idx < p.n]
-    if outside:
-        raise ParameterError(f"node index {outside[0]} outside [0, {p.n})")
-    body_t = ef.body.T
+    nodes = sorted(set(_parse_int_list(args.nodes, p.n, "node index")))
     alpha = ef.alpha
-    rows = body_t[[idx * alpha + i for idx in nodes for i in range(alpha)], :]
-    if ef.code_type == MSRR:
-        data = bulk.msrr_reconstruct_stripes(code, nodes, rows)
-    else:
-        data = bulk.mbrr_reconstruct_stripes(code, nodes, rows)
+    rows = ef.body.T[[idx * alpha + i for idx in nodes for i in range(alpha)], :]
+    data = code.reconstruct_stripes(nodes, rows)
     payload = symbols_to_payload(field, data.T.reshape(-1), ef.payload_len)
     Path(args.output).write_bytes(payload)
     sys.stdout.write(
@@ -257,8 +257,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_table(args) -> int:
-    nbars = _parse_int_list(args.nbar)
-    dbars = _parse_int_list(args.dbar)
+    nbars = _parse_int_list(args.nbar, _U16_LIMIT, "nbar")
+    dbars = _parse_int_list(args.dbar, _U16_LIMIT, "dbar")
     rows, notes = sweep_table(args.u, args.nk, nbars, dbars)
     records = []
     for row in rows:

@@ -1,15 +1,16 @@
 """Exact dense linear algebra over a finite field.
 
-Codes derive their fixed linear maps with the routines here: the
-Vandermonde inverse, Lagrange weights, and exact inversion and
-independence sweeps at build time.  All arithmetic is exact; results
-substitute back into their systems with equality, never within a
-tolerance.
+Codes derive their fixed linear maps with the routines here: one
+vectorized row reduction at build time, the Vandermonde inverse, and
+Lagrange weights.  All arithmetic is exact; results substitute back into
+their systems with equality, never within a tolerance.  The maps are
+ndarrays and are applied with ``FieldSpec.np_matmul``; ``Matrix`` only
+carries the structured MBRR message of the scalar API.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,96 +86,33 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def dot(F, a: Sequence[int], b: Sequence[int]) -> int:
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch")
-    acc = 0
-    for x, y in zip(a, b):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
+def row_reduce(F, A) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of the array ``A`` and its pivot columns.
 
-
-def mat_vec(F, A: Matrix, x: Sequence[int]) -> list[int]:
-    if len(x) != A.cols:
-        raise ValueError("dimension mismatch")
-    return [dot(F, A.row(i), x) for i in range(A.rows)]
-
-
-def mat_mul(F, A: Matrix, B: Matrix) -> Matrix:
-    if A.cols != B.rows:
-        raise ValueError("dimension mismatch")
-    out = Matrix(A.rows, B.cols)
-    for i in range(A.rows):
-        arow = A.row(i)
-        for j in range(B.cols):
-            acc = 0
-            for t in range(A.cols):
-                acc = F.add(acc, F.mul(arow[t], B.entries[t * B.cols + j]))
-            out.entries[i * B.cols + j] = acc
-    return out
-
-
-def _eliminate(F, aug: list[list[int]], cols: int) -> int:
-    """Forward elimination with first-nonzero pivoting; returns pivot count."""
-    m = len(aug)
-    piv = 0
-    for col in range(cols):
-        sel = -1
-        for r in range(piv, m):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel < 0:
-            continue
-        aug[piv], aug[sel] = aug[sel], aug[piv]
-        inv = F.inv(aug[piv][col])
-        aug[piv] = [F.mul(v, inv) for v in aug[piv]]
-        for r in range(m):
-            if r != piv and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [F.sub(av, F.mul(f, pv)) for av, pv in zip(aug[r], aug[piv])]
-        piv += 1
-        if piv == m:
-            break
-    return piv
-
-
-def invert(F, A: Matrix) -> Matrix:
-    if A.rows != A.cols:
-        raise SingularSystemError("only square matrices invert")
-    n = A.rows
-    aug = [A.row(i) + Matrix.identity(n).row(i) for i in range(n)]
-    piv = _eliminate(F, aug, n)
-    if piv < n:
-        raise SingularSystemError("singular matrix")
-    return Matrix.from_rows([row[n:] for row in aug])
-
-
-def independent_prefix(F, vectors: Iterable[Sequence[int]], limit: int) -> list[int]:
-    """Indices of the vectors a left-to-right independence sweep keeps.
-
-    A vector is kept when it is independent of the vectors kept before
-    it; the sweep stops once ``limit`` are kept.  Each kept vector is
-    stored reduced, with a unit entry at a lead index that is zero in
-    every later kept vector, so one pass over the kept list reduces a new
-    vector completely.
+    Columns are taken left to right and each pivot is the first row at or
+    below the current one with a nonzero entry, so the pivot columns are
+    the vectors a left-to-right independence sweep over the columns keeps.
+    Every step is one vectorized elimination over the whole array, exact
+    in the field; reducing [A | I] for an invertible A leaves [I | A^-1].
     """
-    kept: list[int] = []
-    reduced: list[tuple[int, list[int]]] = []  # (lead index, unit-lead vector)
-    for idx, v in enumerate(vectors):
-        if len(kept) == limit:
+    R = np.array(A, dtype=F.np_dtype)
+    rows, cols = R.shape
+    pivots: list[int] = []
+    for col in range(cols):
+        if len(pivots) == rows:
             break
-        for lead, vec in reduced:
-            if v[lead] != 0:
-                f = v[lead]
-                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, vec)]
-        lead = next((i for i, a in enumerate(v) if a != 0), -1)
-        if lead < 0:
+        r = len(pivots)
+        nonzero = np.flatnonzero(R[r:, col])
+        if not nonzero.size:
             continue
-        inv = F.inv(v[lead])
-        reduced.append((lead, [F.mul(a, inv) for a in v]))
-        kept.append(idx)
-    return kept
+        sel = r + int(nonzero[0])
+        R[[r, sel]] = R[[sel, r]]
+        R[r] = F.np_mul(R[r], F.inv(int(R[r, col])))
+        factors = R[:, col].copy()
+        factors[r] = 0
+        R = F.np_add(R, F.np_neg(F.np_mul(factors[:, None], R[r][None, :])))
+        pivots.append(col)
+    return R, pivots
 
 
 def poly_eval(F, coeffs: Sequence[int], x: int) -> int:

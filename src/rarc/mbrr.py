@@ -14,7 +14,9 @@ rack hand the failed rack one inner product of its own leading vector;
 dbar such responses pin down h_{e*}, after which each per-rack polynomial
 is re-interpolated from the u - 1 surviving columns plus its now-known
 leading coefficient.  ``MbrrCode.repair_maps`` writes that repair as two
-fixed linear maps, which every repair path applies.
+fixed arrays, which ``bulk.repair_stripes`` applies to stored rows for
+``sim.Cluster`` and ``rarc repair``; the scalar ``helper_response`` and
+``repair`` apply them to one column of given symbols.
 
 Encoding applies one generator, the message layout composed with
 M -> M * Lambda, and reconstruction the inverse of the Vandermonde matrix
@@ -35,11 +37,8 @@ from .errors import ParameterError, VerificationError
 from .field import FieldSpec, eval_points
 from .linalg import (
     Matrix,
-    dot,
     lagrange_eval_weights,
     lagrange_leading_weights,
-    mat_mul,
-    mat_vec,
     vandermonde_inverse,
 )
 from .params import SystemParams, check_helper_racks, check_node_set, mbrr_point
@@ -197,11 +196,21 @@ class MbrrCode:
         self.field = field
         self.lam = lam
         self.rack_points = [field.pow(field.xi, e * params.u) for e in range(params.nbar)]
-        # per rack, the weights that read the leading coefficient off its u points
-        self.leading_weights = [
-            lagrange_leading_weights(field, lam[e * params.u : (e + 1) * params.u])
-            for e in range(params.nbar)
-        ]
+        # (nbar x dbar): row e is the Vandermonde row x_e**i of rack e
+        self.rack_powers = np.array(
+            [[field.pow(x, i) for i in range(params.dbar)] for x in self.rack_points],
+            dtype=field.np_dtype,
+        )
+        # (nbar x u): row e reads the leading coefficient off rack e's u points
+        self.leading_weights = np.array(
+            [
+                lagrange_leading_weights(field, lam[e * params.u : (e + 1) * params.u])
+                for e in range(params.nbar)
+            ],
+            dtype=field.np_dtype,
+        )
+        for arr in (self.rack_powers, self.leading_weights):
+            arr.setflags(write=False)
         # the inverse on the helper racks' points depends on the helper racks
         # alone, so repairs of any node share it
         self._helper_inverse = functools.lru_cache(maxsize=_HELPER_INVERSE_CACHE_SIZE)(
@@ -322,30 +331,32 @@ class MbrrCode:
         p = self.params
         if not 0 <= e < p.nbar:
             raise ParameterError(f"rack {e} out of range")
-        if len(columns) != p.u:
-            raise ParameterError(f"rack {e} must supply all {p.u} columns")
-        w = self.leading_weights[e]
-        return [dot(self.field, w, [col[i] for col in columns]) for i in range(p.dbar)]
+        if len(columns) != p.u or any(len(col) != p.dbar for col in columns):
+            raise ParameterError(f"rack {e} must supply all {p.u} columns of {p.dbar} symbols")
+        block = self.field.symbol_array(columns)  # (u x dbar)
+        return self.field.np_matmul(self.leading_weights[e : e + 1], block)[0].tolist()
 
     # -- repair ----------------------------------------------------------------
 
-    def _helper_row(self, helper: int, failed_rack: int) -> list[int]:
-        # (g, i) -> x_{e*}**i * w_{helper, g}: the leading vector of the
-        # helper rack, read off its u columns, dotted with the failed rack's
-        # Vandermonde row
-        F = self.field
-        powers = [F.pow(self.rack_points[failed_rack], i) for i in range(self.params.dbar)]
-        return [F.mul(xi, w) for w in self.leading_weights[helper] for xi in powers]
+    def _helper_rows(self, helper_racks: Sequence[int], failed_rack: int) -> np.ndarray:
+        # row a, entry (g, i) -> w_{h, g} * x_{e*}**i for h = helper_racks[a]:
+        # the leading vector of the helper rack, read off its u columns,
+        # dotted with the failed rack's Vandermonde row
+        p = self.params
+        weights = self.leading_weights[list(helper_racks)][:, :, None]
+        rows = self.field.np_mul(weights, self.rack_powers[failed_rack][None, None, :])
+        return rows.reshape(len(helper_racks), p.u * p.dbar)
 
-    def _derive_helper_inverse(self, helper_racks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    def _derive_helper_inverse(self, helper_racks: tuple[int, ...]) -> np.ndarray:
         vinv = vandermonde_inverse(self.field, [self.rack_points[h] for h in helper_racks])
-        return tuple(map(tuple, vinv.tolist()))
+        vinv.setflags(write=False)
+        return vinv
 
     def repair_maps(
         self, failed: tuple[int, int], helper_racks: Sequence[int]
-    ) -> tuple[Matrix, Matrix]:
-        """The two linear maps that rebuild node (e*, g*) from the ordered
-        ``helper_racks``.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The two linear maps, as arrays, that rebuild node (e*, g*) from
+        the ordered ``helper_racks``.
 
         Row a of the first map is what helper rack ``helper_racks[a]``
         applies to its u stored columns, node-major.  The second map is
@@ -366,22 +377,17 @@ class MbrrCode:
         e_star, g_star = failed
         target = self.lam[p.node_index(e_star, g_star)]  # bounds-checks the failed node
         helper_racks = check_helper_racks(e_star, helper_racks, p.nbar, d)
-        helper = Matrix.from_rows([self._helper_row(h, e_star) for h in helper_racks])
-        slots = [g for g in range(p.u) if g != g_star]
-        local_pts = [self.lam[p.node_index(e_star, g)] for g in slots]
+        local_pts = [self.lam[p.node_index(e_star, g)] for g in range(p.u) if g != g_star]
         eval_w = lagrange_eval_weights(F, local_pts, target)
         c = F.pow(target, p.u - 1)
         for w, x in zip(eval_w, local_pts):
             c = F.sub(c, F.mul(w, F.pow(x, p.u - 1)))
-        vinv = self._helper_inverse(tuple(helper_racks))
-        width = len(slots) * d
-        rebuild = Matrix(d, width + d)
-        for i in range(d):
-            for s, w in enumerate(eval_w):
-                rebuild.put(i, s * d + i, w)
-            for a in range(d):
-                rebuild.put(i, width + a, F.mul(c, vinv[i][a]))
-        return helper, rebuild
+        # row i reads L_s(lam*) at local column s*dbar + i: eval_w Kronecker I,
+        # exact in integers because I holds only 0 and 1
+        local = np.kron(np.array([eval_w], dtype=F.np_dtype), np.eye(d, dtype=F.np_dtype))
+        responses = F.np_mul(c, self._helper_inverse(tuple(helper_racks)))
+        rebuild = np.concatenate([local, responses], axis=1)
+        return self._helper_rows(helper_racks, e_star), rebuild
 
     def helper_response(
         self, helper: int, failed_rack: int, columns: Sequence[Sequence[int]]
@@ -392,9 +398,9 @@ class MbrrCode:
         check_helper_racks(failed_rack, [helper], p.nbar, 1)
         if len(columns) != p.u or any(len(col) != p.dbar for col in columns):
             raise ParameterError(f"rack {helper} must supply all {p.u} columns of {p.dbar} symbols")
-        stored = [sym for col in columns for sym in col]
-        self.field.symbol_array(stored)
-        return dot(self.field, self._helper_row(helper, failed_rack), stored)
+        column = self.field.symbol_array(columns).reshape(-1, 1)
+        row = self._helper_rows([helper], failed_rack)
+        return int(self.field.np_matmul(row, column)[0, 0])
 
     def repair(
         self,
@@ -420,8 +426,8 @@ class MbrrCode:
         if len(cols) != p.u - 1:
             raise ParameterError(f"need the other {p.u - 1} columns of rack {failed[0]}")
         symbols = [sym for g in sorted(cols) for sym in cols[g]] + [s for _, s in helpers]
-        self.field.symbol_array(symbols)
-        return mat_vec(self.field, rebuild, symbols)
+        column = self.field.symbol_array(symbols).reshape(-1, 1)
+        return self.field.np_matmul(rebuild, column)[:, 0].tolist()
 
     # -- reconstruction --------------------------------------------------------
 
@@ -485,16 +491,10 @@ class MbrrCode:
         cross-rack storage really carries the block S.  Perturbing any
         stored symbol breaks the identity."""
         p = self.params
-        F = self.field
-        S = symmetric_block(p, M)
-        V = Matrix.from_rows(
-            [[F.pow(self.rack_points[e], i) for e in range(p.nbar)] for i in range(p.dbar)]
-        )
-        expected = mat_mul(F, S, V)
-        for e in range(p.nbar):
-            stored = [C.col(p.node_index(e, g)) for g in range(p.u)]
-            leading = self.leading_vector_from_storage(e, stored)
-            for i in range(p.dbar):
-                if expected.at(i, e) != leading[i]:
-                    return False
-        return True
+        S = self.field.symbol_array(symmetric_block(p, M).to_rows())
+        expected = self.field.np_matmul(S, self.rack_powers.T)  # (dbar x nbar)
+        leading = [
+            self.leading_vector_from_storage(e, [C.col(p.node_index(e, g)) for g in range(p.u)])
+            for e in range(p.nbar)
+        ]
+        return expected.T.tolist() == leading

@@ -12,16 +12,19 @@ symbol sums to lie in a dimension-dbar MDS code over the points
 ``xi**(e*u)``, so one aggregate symbol from each of any dbar helper racks
 pins down the failed rack's sum, and the missing symbol follows from the
 u - 1 local symbols.  ``MsrrCode.repair_maps`` writes that repair as two
-fixed linear maps, which every repair path applies.
+fixed arrays, which ``bulk.repair_stripes`` applies to stored rows for
+``sim.Cluster`` and ``rarc repair``; the scalar ``helper_response``,
+``repair`` and ``repair_local`` apply them to one column of given symbols.
 
-Encoding applies the systematic generator, and reconstruction a map built
-from one Vandermonde inverse, to a block of stripe columns; the scalar
-``encode`` and ``reconstruct`` pass a single column through the same code.
+``build`` takes the parity set and the systematic generator from one row
+reduction of the check matrix.  Encoding applies the generator, and
+reconstruction a map built from one Vandermonde inverse, to a block of
+stripe columns; the scalar ``encode``, ``reconstruct`` and ``parity_ok``
+pass a single column through the same code.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import replace
 from typing import Iterable, Sequence
 
@@ -30,13 +33,9 @@ import numpy as np
 from .errors import ParameterError, SingularSystemError, VerificationError
 from .field import FieldSpec, eval_points
 from .linalg import (
-    Matrix,
-    independent_prefix,
-    invert,
     lagrange_eval_weights,
     lagrange_leading_weights,
-    mat_mul,
-    mat_vec,
+    row_reduce,
     vandermonde_inverse,
 )
 from .params import SystemParams, check_helper_racks, check_node_set, msrr_point
@@ -55,35 +54,20 @@ def check_exponents(p: SystemParams) -> list[int]:
     return t
 
 
-def _select_parity_columns(F: FieldSpec, H: Matrix) -> list[int]:
-    """Columns kept as parity by the left-to-right information-set greedy.
-
-    The greedy walks columns in (e, g) order and moves a column to the
-    information set whenever the remaining pool still has full row rank.
-    The kept set is therefore the unique basis preferring rightmost
-    columns, which a single right-to-left independence sweep computes.
-    """
-    order = range(H.cols - 1, -1, -1)
-    kept = independent_prefix(F, (H.col(c) for c in order), H.rows)
-    if len(kept) != H.rows:
-        raise SingularSystemError("parity-check matrix is rank deficient")
-    return sorted(order[i] for i in kept)
-
-
 class MsrrCode:
     """A built scalar code instance; immutable after ``build``."""
 
     code_type = "msrr"
 
-    def __init__(self, params, field, T, lam, H, info_set, parity_set, enc):
+    def __init__(self, params, field, T, lam, checks, info_set, parity_set, generator):
         self.params = params
         self.field = field
         self.T = T
         self.lam = lam
-        self.H = H
+        self.checks = checks  # (|T| x n) parity-check matrix H, read-only
         self.info_set = info_set
         self.parity_set = parity_set
-        self.enc = enc  # parity positions as a linear map of the message
+        self.generator = generator  # (n x B) codeword = G @ message, read-only
         self.rack_points = [field.pow(field.xi, e * params.u) for e in range(params.nbar)]
         # v_e = 1 / prod_{e' != e} (x_e - x_e'): the rack sums are v_e * f(x_e), deg f < dbar
         self.rack_weights = lagrange_leading_weights(field, self.rack_points)
@@ -113,20 +97,25 @@ class MsrrCode:
             raise ParameterError(f"field rack size {field.u} != system rack size {params.u}")
         if field.q <= params.n:
             raise ParameterError(f"field size {field.q} must exceed node count {params.n}")
+        n = params.n
         T = check_exponents(params)
         lam = eval_points(field, params.nbar)
-        H = Matrix.from_rows(
-            [[field.pow(lam[c], t) for c in range(params.n)] for t in T]
-        )
-        parity_set = _select_parity_columns(field, H)
-        info_set = [c for c in range(params.n) if c not in set(parity_set)]
-        if len(info_set) != params.n - len(T):
-            raise SingularSystemError("no valid information set exists")
-        # H_P * c_P = -H_I * m  =>  c_P = -(H_P^-1 H_I) m
-        hp_inv = invert(field, H.take_columns(parity_set))
-        enc = mat_mul(field, hp_inv, H.take_columns(info_set))
-        enc.entries = [field.neg(v) for v in enc.entries]
-        return cls(params, field, T, lam, H, info_set, parity_set, enc)
+        checks = np.array([[field.pow(x, t) for x in lam] for t in T], dtype=field.np_dtype)
+        # The parity set is the column basis a left-to-right information-set
+        # greedy leaves behind, the one preferring the rightmost columns: the
+        # pivots of H reversed.  The reduction is H_P^-1 H with H_P on them, in
+        # descending pivot order, so c_P = -(H_P^-1 H_I) m reads off its rest.
+        reduced, pivots = row_reduce(field, checks[:, ::-1])
+        if len(pivots) != len(T):
+            raise SingularSystemError("parity-check matrix is rank deficient")
+        parity_set = sorted(n - 1 - c for c in pivots)
+        info_set = [c for c in range(n) if c not in set(parity_set)]
+        generator = np.zeros((n, len(info_set)), dtype=field.np_dtype)
+        generator[info_set, range(len(info_set))] = 1
+        generator[parity_set] = field.np_neg(reduced[::-1][:, [n - 1 - c for c in info_set]])
+        for arr in (checks, generator):
+            arr.setflags(write=False)
+        return cls(params, field, T, lam, checks, info_set, parity_set, generator)
 
     @property
     def B(self) -> int:
@@ -139,24 +128,6 @@ class MsrrCode:
     @property
     def beta(self) -> int:
         return msrr_point(self.params).beta
-
-    # -- fixed maps ------------------------------------------------------------
-
-    @functools.cached_property
-    def generator(self) -> np.ndarray:
-        """(n x B) systematic generator, read-only: codeword = G @ message."""
-        gen = np.zeros((self.params.n, self.B), dtype=self.field.np_dtype)
-        gen[self.info_set, range(self.B)] = 1
-        gen[self.parity_set] = self.enc.to_rows()
-        gen.setflags(write=False)
-        return gen
-
-    @functools.cached_property
-    def checks(self) -> np.ndarray:
-        """The parity-check matrix H as a read-only array."""
-        arr = np.array(self.H.to_rows(), dtype=self.field.np_dtype)
-        arr.setflags(write=False)
-        return arr
 
     # -- encoding ------------------------------------------------------------
 
@@ -175,7 +146,11 @@ class MsrrCode:
         return self.encode_stripes(column)[:, 0].tolist()
 
     def parity_ok(self, codeword: Sequence[int]) -> bool:
-        return all(v == 0 for v in mat_vec(self.field, self.H, list(codeword)))
+        """True iff the n symbols satisfy every check, as one column."""
+        if len(codeword) != self.params.n:
+            raise ParameterError(f"codeword must have {self.params.n} symbols")
+        column = self.field.symbol_array(codeword).reshape(-1, 1)
+        return not self.field.np_matmul(self.checks, column).any()
 
     # -- reconstruction --------------------------------------------------------
 
@@ -222,9 +197,9 @@ class MsrrCode:
 
     def repair_maps(
         self, failed: tuple[int, int], helper_racks: Sequence[int]
-    ) -> tuple[Matrix, Matrix]:
-        """The two linear maps that rebuild node (e*, g*) from the ordered
-        ``helper_racks``.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The two linear maps, as arrays, that rebuild node (e*, g*) from
+        the ordered ``helper_racks``.
 
         Row a of the first map is what helper rack ``helper_racks[a]``
         applies to its own u symbols: all ones, the rack sum.  The second
@@ -244,8 +219,8 @@ class MsrrCode:
         x, v = self.rack_points, self.rack_weights
         lagrange = lagrange_eval_weights(F, [x[h] for h in helper_racks], x[e_star])
         gammas = [F.mul(F.div(v[e_star], v[h]), w) for h, w in zip(helper_racks, lagrange)]
-        helper = Matrix(p.dbar, p.u, [1] * (p.dbar * p.u))
-        rebuild = Matrix(1, p.u - 1 + p.dbar, [F.neg(1)] * (p.u - 1) + gammas)
+        helper = np.ones((p.dbar, p.u), dtype=F.np_dtype)
+        rebuild = np.array([[F.neg(1)] * (p.u - 1) + gammas], dtype=F.np_dtype)
         return helper, rebuild
 
     def helper_response(self, rack: int, symbols: Sequence[int]) -> int:
@@ -254,11 +229,9 @@ class MsrrCode:
             raise ParameterError(f"rack {rack} out of range")
         if len(symbols) != self.params.u:
             raise ParameterError(f"rack {rack} must supply all {self.params.u} symbols")
-        self.field.symbol_array(symbols)
-        acc = 0
-        for sym in symbols:
-            acc = self.field.add(acc, sym)
-        return acc
+        column = self.field.symbol_array(symbols).reshape(-1, 1)
+        rack_sum = np.ones((1, self.params.u), dtype=self.field.np_dtype)
+        return int(self.field.np_matmul(rack_sum, column)[0, 0])
 
     def repair(
         self,
@@ -282,12 +255,13 @@ class MsrrCode:
         _, rebuild = self.repair_maps(failed, [])
         return self._rebuild(rebuild, failed, local, [])
 
-    def _rebuild(self, rebuild: Matrix, failed, local: Sequence[int], responses: list[int]) -> int:
+    def _rebuild(
+        self, rebuild: np.ndarray, failed, local: Sequence[int], responses: list[int]
+    ) -> int:
         if len(local) != self.params.u - 1:
             raise ParameterError(f"need the other {self.params.u - 1} symbols of rack {failed[0]}")
-        symbols = list(local) + responses
-        self.field.symbol_array(symbols)
-        return mat_vec(self.field, rebuild, symbols)[0]
+        column = self.field.symbol_array(list(local) + responses).reshape(-1, 1)
+        return int(self.field.np_matmul(rebuild, column)[0, 0])
 
     # -- analysis ---------------------------------------------------------------
 

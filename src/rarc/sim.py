@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
+from .bulk import repair_stripes
 from .errors import ParameterError
-from .linalg import dot, mat_vec
 from .mbrr import MbrrCode
 from .msrr import MsrrCode
 from .params import (
@@ -100,7 +102,8 @@ class RepairPolicy:
 
 
 class Cluster:
-    """An nbar x u topology holding one stripe of an MSRR or MBRR code.
+    """An nbar x u topology holding one stripe of an MSRR or MBRR code, as
+    one (n*alpha x 1) column: node c holds rows c*alpha ... c*alpha + alpha - 1.
 
     Mutating operations (store / fail_node / run_repair) are single-writer;
     read-only inspection may happen concurrently.
@@ -109,7 +112,7 @@ class Cluster:
     def __init__(self, code: MsrrCode | MbrrCode):
         self.code = code
         self.params = code.params
-        self.nodes: list[list[int] | None] = [None] * code.params.n
+        self.stripe: np.ndarray | None = None
         self.failed: tuple[int, int] | None = None
 
     def store(self, data: Sequence[int]) -> "Cluster":
@@ -118,58 +121,49 @@ class Cluster:
         code = self.code
         if self.failed is not None:
             raise ParameterError("repair the pending failure before restoring")
-        column = code.field.symbol_array(data).reshape(-1, 1)
-        self.nodes = code.encode_stripes(column).reshape(self.params.n, code.alpha).tolist()
+        self.stripe = code.encode_stripes(code.field.symbol_array(data).reshape(-1, 1))
         return self
+
+    def _rows(self, idx: int) -> slice:
+        return slice(idx * self.code.alpha, (idx + 1) * self.code.alpha)
 
     def node_data(self, node: tuple[int, int] | int) -> list[int] | None:
         idx = node if isinstance(node, int) else self.params.node_index(*node)
-        data = self.nodes[idx]
-        return None if data is None else list(data)
+        self.params.node_pair(idx)  # bounds check
+        if self.stripe is None or (
+            self.failed is not None and idx == self.params.node_index(*self.failed)
+        ):
+            return None
+        return self.stripe[self._rows(idx), 0].tolist()
 
     def fail_node(self, node: tuple[int, int]) -> None:
         if self.failed is not None:
             raise ParameterError("only one concurrent failure is supported")
         idx = self.params.node_index(*node)
-        if self.nodes[idx] is None:
+        if self.stripe is None:
             raise ParameterError(f"node {node} holds no data")
-        self.nodes[idx] = None
+        self.stripe[self._rows(idx)] = 0  # the node's symbols are lost
         self.failed = node
 
-    def _rack_payload(self, rack: int) -> list[list[int]]:
-        cols = []
-        for g in range(self.params.u):
-            data = self.nodes[self.params.node_index(rack, g)]
-            if data is None:
-                raise ParameterError(f"rack {rack} is incomplete")
-            cols.append(data)
-        return cols
-
     def run_repair(self, policy: RepairPolicy) -> TrafficLog:
-        """Rebuild the failed node through the code's ``repair_maps``: each
-        helper rack computes its response from its own stored symbols only.
-        Returns the metered traffic."""
+        """Rebuild the failed node with ``bulk.repair_stripes``: each helper
+        rack computes its response from its own stored symbols only.
+        Returns the traffic metered from the local rows and responses that
+        moved."""
         if self.failed is None:
             raise ParameterError("no failure pending")
         p = self.params
-        F = self.code.field
-        e_star, g_star = self.failed
+        e_star = self.failed[0]
         helper_racks = policy.select(e_star, p.nbar, p.dbar)
-        helper, rebuild = self.code.repair_maps(self.failed, helper_racks)
+        rebuilt, local, responses = repair_stripes(
+            self.code, self.failed, helper_racks, self.stripe
+        )
         log = TrafficLog()
-        symbols: list[int] = []
-        for g in range(p.u):
-            if g != g_star:
-                data = self.nodes[p.node_index(e_star, g)]
-                if data is None:
-                    raise ParameterError("local rack is incomplete")
-                log.record_intra(e_star, len(data))
-                symbols.extend(data)
-        for row, h in zip(helper.to_rows(), helper_racks):
-            stored = [sym for col in self._rack_payload(h) for sym in col]
-            symbols.append(dot(F, row, stored))
-            log.record_cross(h, e_star, 1)
-        self.nodes[p.node_index(e_star, g_star)] = mat_vec(F, rebuild, symbols)
+        for _ in range(p.u - 1):  # alpha rows from each local node
+            log.record_intra(e_star, local.size // (p.u - 1))
+        for h in helper_racks:  # one response row from each helper rack
+            log.record_cross(h, e_star, responses.shape[1])
+        self.stripe[self._rows(p.node_index(*self.failed))] = rebuilt
         self.failed = None
         return log
 

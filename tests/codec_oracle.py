@@ -2,27 +2,125 @@
 fixed maps every production path applies.
 
 The codes encode and reconstruct by applying a generator or a
-reconstruct map, built from one vectorized Vandermonde inverse, to a
-block of stripe columns.  The functions here reach the same symbols by
-the routes the maps replaced, one symbol at a time in plain Python:
+reconstruct map, built from one vectorized row reduction or Vandermonde
+inverse, to a block of stripe columns.  The functions here reach the same
+symbols by the routes the maps replaced, one symbol at a time in plain
+Python:
 
-- exact Gaussian elimination, and the rank it reports;
+- per-symbol products, exact Gaussian elimination, the rank it reports,
+  inversion, and a left-to-right independence sweep;
 - Lagrange synthesis, O(m^2) field operations per interpolation or
   Vandermonde inverse;
-- minimum storage: the parity positions as the linear map ``enc`` of the
-  message, and reconstruction by solving every check row restricted to
-  the erased columns, then re-checking the whole codeword;
+- minimum storage: the parity positions as the linear map
+  ``enc = -(H_P^-1 H_I)`` of the message, and reconstruction by solving
+  every check row restricted to the erased columns, then re-checking the
+  whole codeword;
 - minimum bandwidth: C = M * Lambda by matrix product, and reconstruction
   by interpolating each row of M through k node columns, checking any
   extra columns and the message structure, then unpacking.
 """
 
 from rarc.errors import ParameterError, SingularSystemError, VerificationError
-from rarc.linalg import Matrix, _check_points, _eliminate, mat_mul, mat_vec, poly_eval
+from rarc.linalg import Matrix, _check_points, poly_eval
 from rarc.mbrr import j1_columns, unpack_message
 
 
+# -- products -----------------------------------------------------------------------
+
+
+def dot(F, a, b):
+    if len(a) != len(b):
+        raise ValueError("dimension mismatch")
+    acc = 0
+    for x, y in zip(a, b):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
+
+
+def mat_vec(F, A, x):
+    if len(x) != A.cols:
+        raise ValueError("dimension mismatch")
+    return [dot(F, A.row(i), x) for i in range(A.rows)]
+
+
+def mat_mul(F, A, B):
+    if A.cols != B.rows:
+        raise ValueError("dimension mismatch")
+    out = Matrix(A.rows, B.cols)
+    for i in range(A.rows):
+        arow = A.row(i)
+        for j in range(B.cols):
+            acc = 0
+            for t in range(A.cols):
+                acc = F.add(acc, F.mul(arow[t], B.entries[t * B.cols + j]))
+            out.entries[i * B.cols + j] = acc
+    return out
+
+
 # -- exact solvers ----------------------------------------------------------------
+
+
+def _eliminate(F, aug, cols):
+    """Forward elimination with first-nonzero pivoting; returns pivot count."""
+    m = len(aug)
+    piv = 0
+    for col in range(cols):
+        sel = -1
+        for r in range(piv, m):
+            if aug[r][col] != 0:
+                sel = r
+                break
+        if sel < 0:
+            continue
+        aug[piv], aug[sel] = aug[sel], aug[piv]
+        inv = F.inv(aug[piv][col])
+        aug[piv] = [F.mul(v, inv) for v in aug[piv]]
+        for r in range(m):
+            if r != piv and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [F.sub(av, F.mul(f, pv)) for av, pv in zip(aug[r], aug[piv])]
+        piv += 1
+        if piv == m:
+            break
+    return piv
+
+
+def invert(F, A):
+    if A.rows != A.cols:
+        raise SingularSystemError("only square matrices invert")
+    n = A.rows
+    aug = [A.row(i) + Matrix.identity(n).row(i) for i in range(n)]
+    piv = _eliminate(F, aug, n)
+    if piv < n:
+        raise SingularSystemError("singular matrix")
+    return Matrix.from_rows([row[n:] for row in aug])
+
+
+def independent_prefix(F, vectors, limit):
+    """Indices of the vectors a left-to-right independence sweep keeps.
+
+    A vector is kept when it is independent of the vectors kept before
+    it; the sweep stops once ``limit`` are kept.  Each kept vector is
+    stored reduced, with a unit entry at a lead index that is zero in
+    every later kept vector, so one pass over the kept list reduces a new
+    vector completely.
+    """
+    kept = []
+    reduced = []  # (lead index, unit-lead vector)
+    for idx, v in enumerate(vectors):
+        if len(kept) == limit:
+            break
+        for lead, vec in reduced:
+            if v[lead] != 0:
+                f = v[lead]
+                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, vec)]
+        lead = next((i for i, a in enumerate(v) if a != 0), -1)
+        if lead < 0:
+            continue
+        inv = F.inv(v[lead])
+        reduced.append((lead, [F.mul(a, inv) for a in v]))
+        kept.append(idx)
+    return kept
 
 
 def rank(F, A):
@@ -108,6 +206,20 @@ def _available(n, k, available):
     return got
 
 
+def check_matrix(code):
+    """The code's parity-check matrix H as a ``Matrix``."""
+    return Matrix.from_rows(code.checks.tolist())
+
+
+def msrr_enc(code):
+    """The parity positions as a linear map of the message:
+    H_P c_P = -H_I m, so c_P = -(H_P^-1 H_I) m."""
+    F = code.field
+    H = check_matrix(code)
+    enc = mat_mul(F, invert(F, H.take_columns(code.parity_set)), H.take_columns(code.info_set))
+    return Matrix(enc.rows, enc.cols, [F.neg(v) for v in enc.entries])
+
+
 def msrr_encode(code, message):
     """Systematic codeword: the message at the information positions, the
     parity positions as ``enc`` applied to the message."""
@@ -116,7 +228,7 @@ def msrr_encode(code, message):
     codeword = [0] * code.params.n
     for pos, sym in zip(code.info_set, message):
         codeword[pos] = sym
-    for pos, sym in zip(code.parity_set, mat_vec(code.field, code.enc, list(message))):
+    for pos, sym in zip(code.parity_set, mat_vec(code.field, msrr_enc(code), list(message))):
         codeword[pos] = sym
     return codeword
 
@@ -129,19 +241,20 @@ def msrr_reconstruct(code, available):
     for idx, sym in got.items():
         codeword[idx] = sym
     erased = [c for c in range(code.params.n) if c not in got]
+    H = check_matrix(code)
     if erased:
         rhs = []
         rows = []
         for r in range(len(code.T)):
             acc = 0
             for idx, sym in got.items():
-                acc = F.add(acc, F.mul(code.H.at(r, idx), sym))
+                acc = F.add(acc, F.mul(H.at(r, idx), sym))
             rhs.append(F.neg(acc))
-            rows.append([code.H.at(r, c) for c in erased])
+            rows.append([H.at(r, c) for c in erased])
         solution = gaussian_solve(F, Matrix.from_rows(rows), rhs)
         for c, sym in zip(erased, solution):
             codeword[c] = sym
-    if not code.parity_ok(codeword):
+    if any(mat_vec(F, H, codeword)):
         raise VerificationError("supplied symbols are not consistent with the code")
     return [codeword[c] for c in code.info_set]
 

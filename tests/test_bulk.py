@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rarc.field import Gf256Field, PrimeField, field_from_descriptor, make_field
 from rarc.mbrr import MbrrCode, pack_message
 from rarc.msrr import MsrrCode
 from rarc.params import MBRR, MSRR, SystemParams
+from rarc.sim import Cluster, RepairPolicy
 
 import repair_oracle as oracle
 
@@ -44,7 +46,7 @@ def random_block(code, stripes):
 def test_msrr_batch_encode_matches_scalar(factory):
     code = factory()
     data = random_block(code, 9)
-    body = bulk.msrr_encode_stripes(code, data)
+    body = code.encode_stripes(data)
     for s in range(9):
         assert [int(v) for v in body[:, s]] == code.encode([int(v) for v in data[:, s]])
 
@@ -52,34 +54,34 @@ def test_msrr_batch_encode_matches_scalar(factory):
 def test_msrr_batch_reconstruct_matches_scalar():
     code = msrr_code(8, 2, 5, 1)
     data = random_block(code, 6)
-    body = bulk.msrr_encode_stripes(code, data)
+    body = code.encode_stripes(data)
     for nodes in itertools.combinations(range(8), 5):
-        got = bulk.msrr_reconstruct_stripes(code, list(nodes), body[list(nodes), :])
+        got = code.reconstruct_stripes(list(nodes), body[list(nodes), :])
         assert np.array_equal(got, data)
 
 
 def test_msrr_batch_reconstruct_uses_extra_rows():
     code = msrr_code()
     data = random_block(code, 4)
-    body = bulk.msrr_encode_stripes(code, data)
-    got = bulk.msrr_reconstruct_stripes(code, list(range(6)), body)
+    body = code.encode_stripes(data)
+    got = code.reconstruct_stripes(list(range(6)), body)
     assert np.array_equal(got, data)
 
 
 def test_msrr_batch_reconstruct_detects_corruption():
     code = msrr_code()
     data = random_block(code, 4)
-    body = bulk.msrr_encode_stripes(code, data).copy()
+    body = code.encode_stripes(data).copy()
     body[0, 2] = code.field.add(int(body[0, 2]), 1)
     with pytest.raises(VerificationError):
-        bulk.msrr_reconstruct_stripes(code, list(range(6)), body)
+        code.reconstruct_stripes(list(range(6)), body)
 
 
 def test_msrr_batch_repair_every_node_and_helper():
     code = msrr_code()
     p = code.params
     data = random_block(code, 5)
-    body = bulk.msrr_encode_stripes(code, data)
+    body = code.encode_stripes(data)
     for idx in range(p.n):
         e_star, g_star = p.node_pair(idx)
         for helper in [e for e in range(p.nbar) if e != e_star]:
@@ -90,7 +92,7 @@ def test_msrr_batch_repair_every_node_and_helper():
 def test_msrr_batch_repair_local_only():
     code = msrr_code(6, 3, 4, 0)
     data = random_block(code, 5)
-    body = bulk.msrr_encode_stripes(code, data)
+    body = code.encode_stripes(data)
     got, _, _ = bulk.repair_stripes(code, (1, 2), [], body)
     assert np.array_equal(got[0], body[5])
 
@@ -162,7 +164,7 @@ def repair_case(draw, code):
 def test_repair_maps_equal_oracle_probes(cases):
     for code, (failed, helpers) in zip(MAP_CODES, cases):
         helper, rebuild = code.repair_maps(failed, helpers)
-        assert (helper.to_rows(), rebuild.to_rows()) == oracle_maps(code, failed, helpers)
+        assert (helper.tolist(), rebuild.tolist()) == oracle_maps(code, failed, helpers)
 
 
 @pytest.mark.parametrize(
@@ -179,6 +181,104 @@ def test_batch_repair_rejects_bad_helper_sets(helpers):
         body = np.zeros((p.n * code.alpha, 3), dtype=field.np_dtype)
         with pytest.raises(ParameterError):
             bulk.repair_stripes(code, (0, 1), helpers, body)
+
+
+APPLIER_CODES = [
+    cls.build(SystemParams(n=n, u=u, k=k, dbar=d), make_field(n, u, pref))
+    for n, u, k, d, pref in [
+        (50, 5, 44, 4, "gf256"),
+        (132, 4, 120, 4, "prime"),  # GF(137)
+        (12, 4, 8, 0, "prime"),  # GF(13)
+        (12, 4, 8, 1, "prime"),
+        (12, 4, 8, 2, "prime"),
+    ]
+    for cls in (MsrrCode, MbrrCode)
+    if d >= 1 or cls is MsrrCode
+]
+
+
+@st.composite
+def applier_case(draw, code):
+    failed, helpers = draw(repair_case(code))
+    data = draw(st.lists(st.integers(0, code.field.q - 1), min_size=code.B, max_size=code.B))
+    return failed, helpers, data
+
+
+def scalar_repair(code, failed, helpers, stored):
+    """The failed node through the scalar API: one response per helper rack,
+    then the rebuild from the u - 1 local nodes; returns the rebuilt
+    symbols and the (intra, cross) symbols that moved."""
+    p = code.params
+    e_star, g_star = failed
+
+    def node(e, g):
+        idx = p.node_index(e, g)
+        return stored[idx * code.alpha : (idx + 1) * code.alpha]
+
+    if code.code_type == MSRR:
+        responses = [
+            (h, code.helper_response(h, [node(h, g)[0] for g in range(p.u)])) for h in helpers
+        ]
+        local = [node(e_star, g)[0] for g in range(p.u) if g != g_star]
+        if p.dbar == 0:
+            rebuilt = [code.repair_local(failed, local)]
+        else:
+            rebuilt = [code.repair(failed, local, responses)]
+        moved = len(local)
+    else:
+        responses = [
+            (h, code.helper_response(h, e_star, [node(h, g) for g in range(p.u)]))
+            for h in helpers
+        ]
+        local = [(g, node(e_star, g)) for g in range(p.u) if g != g_star]
+        rebuilt = code.repair(failed, local, responses)
+        moved = sum(len(col) for _, col in local)
+    return rebuilt, moved, len(responses)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(*(applier_case(code) for code in APPLIER_CODES)))
+def test_cluster_scalar_and_batch_appliers_agree(cases):
+    for code, (failed, helpers, data) in zip(APPLIER_CODES, cases):
+        p = code.params
+        idx = p.node_index(*failed)
+        cluster = Cluster(code).store(data)
+        stored = [sym for i in range(p.n) for sym in cluster.node_data(i)]
+        truth = cluster.node_data(idx)
+
+        cluster.fail_node(failed)
+        log = cluster.run_repair(RepairPolicy.explicit(helpers))
+        column = np.array(stored, dtype=code.field.np_dtype).reshape(-1, 1)
+        column[idx * code.alpha : (idx + 1) * code.alpha] = 0  # never read
+        batch, local, responses = bulk.repair_stripes(code, failed, helpers, column)
+        scalar, intra, cross = scalar_repair(code, failed, helpers, stored)
+
+        assert cluster.node_data(idx) == batch[:, 0].tolist() == scalar == truth
+        assert log.helper_racks_used == helpers
+        assert (log.intra_rack_symbols, log.cross_rack_symbols) == (local.size, responses.size)
+        assert (intra, cross) == (local.size, responses.size)
+        assert (intra, cross) == ((p.u - 1) * code.alpha, p.dbar)
+
+
+@pytest.mark.parametrize("code", APPLIER_CODES[:2], ids=["msrr", "mbrr"])
+def test_cluster_repair_is_two_products(code):
+    F = code.field
+    products = []
+    kernel = type(F).np_matmul
+
+    def counted(self, a, b):
+        products.append((np.shape(a), np.shape(b)))
+        return kernel(self, a, b)
+
+    cluster = Cluster(code).store([1] * code.B)
+    cluster.fail_node((3, 2))
+    with mock.patch.object(type(F), "np_matmul", counted):
+        cluster.run_repair(RepairPolicy.explicit([1, 5, 7, 9]))
+    p, a = code.params, code.alpha
+    reach = p.dbar * p.u * a  # the rows of all helper racks
+    inputs = (p.u - 1) * a + p.dbar  # the local rows, then the responses
+    # every response in one block-diagonal product, then the rebuild
+    assert products == [((p.dbar, reach), (reach, 1)), ((a, inputs), (inputs, 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +315,10 @@ def test_cached_arrays_are_read_only():
     field = make_field(50, 5, "gf256")
     msrr = bulk.build_code(MSRR, p, field)
     mbrr = bulk.build_code(MBRR, p, field)
-    gens = [bulk.msrr_generator(msrr), bulk.mbrr_generator(mbrr)]
-    assert bulk.msrr_generator(msrr) is gens[0]
-    assert bulk.mbrr_generator(mbrr) is gens[1]
-    for arr in gens + [field._mul_table]:
+    gens = [msrr.generator, mbrr.generator]
+    assert msrr.generator is gens[0]
+    assert mbrr.generator is gens[1]
+    for arr in gens + [msrr.checks, field._mul_table]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1
@@ -228,7 +328,7 @@ def test_mbrr_batch_encode_matches_scalar():
     for code in (mbrr_code(), mbrr_code(10, 2, 7, 2), mbrr_code(10, 5, 8, 1, "gf256")):
         p = code.params
         data = random_block(code, 7)
-        body = bulk.mbrr_encode_stripes(code, data)
+        body = code.encode_stripes(data)
         for s in range(7):
             C = code.encode(pack_message(p, [int(v) for v in data[:, s]]))
             flat = [C.at(i, node) for node in range(p.n) for i in range(p.dbar)]
@@ -239,10 +339,10 @@ def test_mbrr_batch_reconstruct_matches_scalar():
     code = mbrr_code(10, 2, 7, 2)
     p = code.params
     data = random_block(code, 6)
-    body = bulk.mbrr_encode_stripes(code, data)
+    body = code.encode_stripes(data)
     for nodes in itertools.combinations(range(p.n), p.k):
         rows = body[[idx * p.dbar + i for idx in nodes for i in range(p.dbar)], :]
-        got = bulk.mbrr_reconstruct_stripes(code, list(nodes), rows)
+        got = code.reconstruct_stripes(list(nodes), rows)
         assert np.array_equal(got, data)
 
 
@@ -250,19 +350,19 @@ def test_mbrr_batch_reconstruct_checks_extras_and_structure():
     code = mbrr_code(10, 2, 7, 2)
     p = code.params
     data = random_block(code, 4)
-    body = bulk.mbrr_encode_stripes(code, data).copy()
-    got = bulk.mbrr_reconstruct_stripes(code, list(range(p.n)), body)
+    body = code.encode_stripes(data).copy()
+    got = code.reconstruct_stripes(list(range(p.n)), body)
     assert np.array_equal(got, data)
     body[-1, 1] = code.field.add(int(body[-1, 1]), 2)
     with pytest.raises(VerificationError):
-        bulk.mbrr_reconstruct_stripes(code, list(range(p.n)), body)
+        code.reconstruct_stripes(list(range(p.n)), body)
 
 
 def test_mbrr_batch_repair_every_node_and_helper_set():
     code = mbrr_code(10, 2, 7, 2)
     p = code.params
     data = random_block(code, 5)
-    body = bulk.mbrr_encode_stripes(code, data)
+    body = code.encode_stripes(data)
     for idx in range(p.n):
         e_star, g_star = p.node_pair(idx)
         others = [e for e in range(p.nbar) if e != e_star]
@@ -294,10 +394,7 @@ def encode_case(draw):
 def test_bulk_encode_columns_match_scalar_encode(case):
     code, data = case
     p = code.params
-    if isinstance(code, MsrrCode):
-        body = bulk.msrr_encode_stripes(code, data)
-    else:
-        body = bulk.mbrr_encode_stripes(code, data)
+    body = code.encode_stripes(data)
     assert body.shape[1] == data.shape[1]
     for s in range(data.shape[1]):
         stripe = [int(v) for v in data[:, s]]

@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rarc import bulk, cli
+from rarc import cli
 from rarc.cli import main
 from rarc.field import PrimeField
 from rarc.formats import EncodedFile, parse_encoded, parse_report, serialize_encoded
@@ -287,6 +288,43 @@ def test_reconstruct_rejects_node_indices_outside_the_cluster(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ["reconstruct", "--nodes", "0-2000000"],
+        ["reconstruct", "--nodes", "3,2000000-5"],
+        ["repair", "--failed", "0,0", "--policy", "1-2000000"],
+    ],
+    ids=["nodes", "nodes-range-start", "policy"],
+)
+def test_huge_list_ranges_exit_1_without_expanding(tmp_path, capsys, command):
+    src = tmp_path / "payload.bin"
+    src.write_bytes(bytes(range(256)) * 4)
+    enc = tmp_path / "data.rarc"
+    args = ["--n", "50", "--u", "5", "--k", "44", "--d", "4"]
+    assert run_cli(capsys, "encode", "--code", "mbrr", *args, str(src), str(enc))[0] == 0
+    out = tmp_path / "o"
+    assert run_cli(capsys, "repair", "--failed", "0,0", str(enc), str(out))[0] == 0  # warm caches
+    tracemalloc.start()
+    try:
+        rc, _, err = run_cli(capsys, *command, str(enc), str(tmp_path / "o2"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rc == 1
+    assert "2000000 outside [0, " in err
+    assert not (tmp_path / "o2").exists()
+
+
+@pytest.mark.parametrize("option", ["--nbar", "--dbar"])
+def test_table_rejects_counts_past_the_header_range(capsys, option):
+    rc, out, err = run_cli(capsys, "table", option, "4,0-65536")
+    assert rc == 1
+    assert f"{option[2:]} 65536 outside [0, 65536)" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "p,stream,payload_len",
     [
         (131, [1, 2, 3, 4, 5, 130], 6),  # an escape is the body's last symbol
@@ -300,7 +338,7 @@ def test_reconstruct_rejects_symbols_no_payload_packs_to(tmp_path, capsys, p, st
     field = PrimeField(p, 2)
     code = MsrrCode.build(SystemParams(n=6, u=2, k=4, dbar=1), field)  # B = 3
     data = np.array(stream, dtype=field.np_dtype).reshape(-1, code.B).T
-    body = bulk.msrr_encode_stripes(code, data).T
+    body = code.encode_stripes(data).T
     enc = tmp_path / "hostile.rarc"
     enc.write_bytes(serialize_encoded(EncodedFile("msrr", code.params, field, body, payload_len)))
     rc, _, err = run_cli(capsys, "reconstruct", "--nodes", "0-5", str(enc), str(tmp_path / "o"))

@@ -1,24 +1,30 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rarc.errors import SingularSystemError
 from rarc.field import Gf256Field, PrimeField, make_field
 from rarc.linalg import (
     Matrix,
-    invert,
     lagrange_eval_weights,
     lagrange_leading_weights,
-    mat_mul,
-    mat_vec,
     poly_eval,
-    independent_prefix,
+    row_reduce,
     vandermonde_inverse,
 )
 import codec_oracle as oracle
-from codec_oracle import gaussian_solve, rank, vandermonde_solve
+from codec_oracle import (
+    gaussian_solve,
+    independent_prefix,
+    invert,
+    mat_mul,
+    mat_vec,
+    rank,
+    vandermonde_solve,
+)
 from repair_oracle import constrained_interpolate, lagrange_leading_coefficient
 
 F7 = make_field(6, 2, "prime")
@@ -191,6 +197,68 @@ def test_independent_prefix_skips_dependent_vectors_and_stops_at_limit():
     assert independent_prefix(F7, vectors, 3) == [0, 2, 4]
     assert independent_prefix(F7, vectors, 1) == [0]
     assert independent_prefix(F7, vectors[:4], 3) == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# row_reduce
+# ---------------------------------------------------------------------------
+
+ROW_REDUCE_FIELDS = [Gf256Field(5), PrimeField(137, 4), PrimeField(13, 4)]
+
+
+@st.composite
+def row_reduce_case(draw):
+    """A random, all-zero or rank-deficient matrix of up to 7 x 9 symbols."""
+    F = draw(st.sampled_from(ROW_REDUCE_FIELDS))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 9))
+    symbol = st.integers(0, F.q - 1)
+
+    def block(r, c):
+        return Matrix(r, c, draw(st.lists(symbol, min_size=r * c, max_size=r * c)))
+
+    kind = draw(st.sampled_from(["random", "zero", "deficient"]))
+    if kind == "zero":
+        A = Matrix(rows, cols)
+    elif kind == "deficient" and min(rows, cols) > 1:
+        inner = draw(st.integers(1, min(rows, cols) - 1))
+        A = mat_mul(F, block(rows, inner), block(inner, cols))
+    else:
+        A = block(rows, cols)
+    return F, A
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_reduce_case())
+def test_row_reduce_pivots_and_form_match_oracle_elimination(case):
+    F, A = case
+    reduced, pivots = row_reduce(F, np.array(A.to_rows(), dtype=F.np_dtype).reshape(A.rows, A.cols))
+    assert reduced.dtype == F.np_dtype
+    assert pivots == independent_prefix(F, [A.col(c) for c in range(A.cols)], A.rows)
+    assert len(pivots) == rank(F, A)
+    work = A.to_rows()
+    oracle._eliminate(F, work, A.cols)
+    assert reduced.tolist() == work
+
+
+@st.composite
+def invertible_case(draw):
+    F = draw(st.sampled_from(ROW_REDUCE_FIELDS))
+    m = draw(st.integers(1, 6))
+    A = Matrix(m, m, draw(st.lists(st.integers(0, F.q - 1), min_size=m * m, max_size=m * m)))
+    assume(rank(F, A) == m)
+    return F, A
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible_case())
+def test_row_reduce_of_a_beside_identity_is_the_oracle_inverse(case):
+    F, A = case
+    m = A.rows
+    augmented = np.hstack([np.array(A.to_rows()), np.eye(m, dtype=int)]).astype(F.np_dtype)
+    reduced, pivots = row_reduce(F, augmented)
+    assert pivots == list(range(m))
+    assert reduced[:, :m].tolist() == Matrix.identity(m).to_rows()
+    assert reduced[:, m:].tolist() == invert(F, A).to_rows()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from rarc.field import make_field
 from rarc.msrr import MsrrCode, check_exponents
 from rarc.params import SystemParams, cutset_bound, msrr_point
 
-from codec_oracle import rank
+from codec_oracle import check_matrix, rank
 
 
 def build(n, u, k, dbar, preference="prime", **kwargs):
@@ -76,7 +76,7 @@ def literal_information_greedy(F, H):
 )
 def test_information_set_matches_literal_greedy(n, u, k, dbar, preference):
     code = build(n, u, k, dbar, preference)
-    info, pool = literal_information_greedy(code.field, code.H)
+    info, pool = literal_information_greedy(code.field, check_matrix(code))
     assert code.info_set == info
     assert code.parity_set == pool
 
@@ -91,7 +91,8 @@ def test_build_validates_field_compatibility():
 
 def test_parity_submatrix_invertible():
     code = build(6, 2, 4, 1)
-    assert rank(code.field, code.H.take_columns(code.parity_set)) == len(code.parity_set)
+    parity = check_matrix(code).take_columns(code.parity_set)
+    assert rank(code.field, parity) == len(code.parity_set)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ def test_codeword_symbol_layout_is_rack_major():
     # the degree-1 check row is exactly the (e, g)-ordered point family, so
     # codeword position e*u + g belongs to node (e, g)
     assert 1 in code.T
-    assert code.H.row(code.T.index(1)) == code.lam
+    assert code.checks[code.T.index(1)].tolist() == code.lam
     rng = random.Random(71)
     cw = code.encode(random_message(code, rng))
     acc = 0
