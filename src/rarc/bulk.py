@@ -64,11 +64,9 @@ def repair_stripes(
     rows = np.empty(((dbar + 1) * width - a, node_rows.shape[1]), dtype=node_rows.dtype)
     np.concatenate(parts, out=rows)
     local, remote = rows[: width - a], rows[width - a :]
-    # Row i of the (dbar x dbar*width) block-diagonal map holds helper[i]
-    # from column i*width on: in flat memory that is offset i*(dbar+1)*width,
-    # i.e. the first width entries of row i of a (dbar x (dbar+1)*width) array.
-    flat = np.zeros(dbar * (dbar + 1) * width, dtype=F.np_dtype)
-    flat.reshape(dbar, (dbar + 1) * width)[:, :width] = helper
-    responses = F.np_matmul(flat[: dbar * dbar * width].reshape(dbar, dbar * width), remote)
+    blocks = np.zeros((dbar, dbar, width), dtype=F.np_dtype)
+    diagonal = np.arange(dbar)
+    blocks[diagonal, diagonal] = helper
+    responses = F.np_matmul(blocks.reshape(dbar, dbar * width), remote)
     rebuilt = F.np_matmul(rebuild, np.concatenate([local, responses]))
     return rebuilt, local, responses

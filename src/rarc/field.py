@@ -295,10 +295,8 @@ class Gf256Field(FieldSpec):
         flat = self._mul_table.ravel()
         high = (a.astype(np.uint16) << 8)[:, None, :]
         low = b.T[None, :, :]
-        step = max(1, _GF256_GATHER // max(1, a.shape[1] * b.shape[1]))
-        if step >= a.shape[0]:  # one block, as for every single-stripe map
-            return np.bitwise_xor.reduce(flat.take(high | low), axis=2)
         out = np.empty((a.shape[0], b.shape[1]), dtype=np.uint8)
+        step = max(1, _GF256_GATHER // max(1, a.shape[1] * b.shape[1]))
         for r in range(0, a.shape[0], step):
             products = flat.take(high[r : r + step] | low)
             np.bitwise_xor.reduce(products, axis=2, out=out[r : r + step])

@@ -384,7 +384,8 @@ class MbrrCode:
             c = F.sub(c, F.mul(w, F.pow(x, p.u - 1)))
         # row i reads L_s(lam*) at local column s*dbar + i: eval_w Kronecker I,
         # exact in integers because I holds only 0 and 1
-        local = np.kron(np.array([eval_w], dtype=F.np_dtype), np.eye(d, dtype=F.np_dtype))
+        weights = np.array(eval_w, dtype=F.np_dtype)[:, None]
+        local = (np.eye(d, dtype=F.np_dtype)[:, None, :] * weights).reshape(d, -1)
         responses = F.np_mul(c, self._helper_inverse(tuple(helper_racks)))
         rebuild = np.concatenate([local, responses], axis=1)
         return self._helper_rows(helper_racks, e_star), rebuild

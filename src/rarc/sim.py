@@ -148,19 +148,19 @@ class Cluster:
     def run_repair(self, policy: RepairPolicy) -> TrafficLog:
         """Rebuild the failed node with ``bulk.repair_stripes``: each helper
         rack computes its response from its own stored symbols only.
-        Returns the traffic metered from the local rows and responses that
-        moved."""
+        Returns the traffic: alpha symbols from each local node and one
+        response symbol from each helper rack."""
         if self.failed is None:
             raise ParameterError("no failure pending")
         p = self.params
         e_star = self.failed[0]
         helper_racks = policy.select(e_star, p.nbar, p.dbar)
-        rebuilt, local, responses = repair_stripes(
+        rebuilt, _, responses = repair_stripes(
             self.code, self.failed, helper_racks, self.stripe
         )
         log = TrafficLog()
         for _ in range(p.u - 1):  # alpha rows from each local node
-            log.record_intra(e_star, local.size // (p.u - 1))
+            log.record_intra(e_star, self.code.alpha)
         for h in helper_racks:  # one response row from each helper rack
             log.record_cross(h, e_star, responses.shape[1])
         self.stripe[self._rows(p.node_index(*self.failed))] = rebuilt
