@@ -23,8 +23,8 @@ M = pack_message(p, data)
 print(f"\ndata {data}")
 print("message matrix (rack-boundary columns hold a symmetric block, then zeros):")
 for i in range(p.dbar):
-    print(f"  {M.row(i)}")
-print(f"symmetric block: {symmetric_block(p, M).to_rows()}")
+    print(f"  {M[i].tolist()}")
+print(f"symmetric block: {symmetric_block(p, M).tolist()}")
 
 C = code.encode(M)
 print(f"\nnode (0,1) stores column {code.node_column(C, 1)}")
@@ -36,16 +36,16 @@ e = 3
 polys = code.local_polys(e, M)
 for g in range(p.u):
     idx = p.node_index(e, g)
-    values = [poly_eval(field, list(polys.coeffs[i]), code.lam[idx]) for i in range(p.dbar)]
+    values = [poly_eval(field, polys[i].tolist(), code.lam[idx]) for i in range(p.dbar)]
     assert values == code.node_column(C, idx)
 print(f"rack {e}: local polynomials reproduce both stored columns")
-print(f"rack {e}: leading coefficients {list(polys.leading)}")
+print(f"rack {e}: leading coefficients {polys[:, -1].tolist()}")
 
 # Those leading vectors can be read straight off the stored columns, and
 # across racks they are the symmetric block times a Vandermonde matrix --
 # which is what makes one-symbol helper responses possible.
 stored = [code.node_column(C, p.node_index(e, g)) for g in range(p.u)]
-assert code.leading_vector_from_storage(e, stored) == list(polys.leading)
+assert code.leading_vector_from_storage(e, stored) == polys[:, -1].tolist()
 assert code.mbr_codeword_check(M, C)
 print("leading-vector transport verified from storage alone")
 

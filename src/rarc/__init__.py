@@ -19,7 +19,7 @@ from .field import (
     make_field,
     multiplicative_order,
 )
-from .linalg import Matrix, lagrange_leading_weights
+from .linalg import lagrange_leading_weights
 from .mbrr import MbrrCode, message_size, pack_message, unpack_message
 from .msrr import MsrrCode
 from .params import (
@@ -42,7 +42,6 @@ __all__ = [
     "FieldSpec",
     "FormatError",
     "Gf256Field",
-    "Matrix",
     "MbrrCode",
     "MsrrCode",
     "ParameterError",

@@ -67,9 +67,13 @@ class _Parser(argparse.ArgumentParser):
 #: encoded-file header.
 _U16_LIMIT = 1 << 16
 
+#: Most (nbar, dbar) cells one table sweeps: 2**16 cells take about 2 s.
+_TABLE_CELL_LIMIT = 1 << 16
+
 
 def _parse_int_list(text: str, bound: int, what: str) -> list[int]:
-    """Comma-separated integers and ``a-b`` ranges, each in [0, bound).
+    """Comma-separated integers and ``a-b`` ranges with a <= b, each in
+    [0, bound).
 
     Every value and range end is checked before a range is expanded, so
     the list never holds more than the caller can accept."""
@@ -84,6 +88,8 @@ def _parse_int_list(text: str, bound: int, what: str) -> list[int]:
         for value in (first, last):
             if not 0 <= value < bound:
                 raise ParameterError(f"{what} {value} outside [0, {bound})")
+        if last < first:
+            raise ParameterError(f"{what} range {part!r} runs high to low")
         out.extend(range(first, last + 1))
     if not out:
         raise ParameterError(f"empty list {text!r}")
@@ -259,6 +265,10 @@ def cmd_reconstruct(args) -> int:
 def cmd_table(args) -> int:
     nbars = _parse_int_list(args.nbar, _U16_LIMIT, "nbar")
     dbars = _parse_int_list(args.dbar, _U16_LIMIT, "dbar")
+    if len(nbars) * len(dbars) > _TABLE_CELL_LIMIT:
+        raise ParameterError(
+            f"table grid of {len(nbars)} x {len(dbars)} cells exceeds {_TABLE_CELL_LIMIT}"
+        )
     rows, notes = sweep_table(args.u, args.nk, nbars, dbars)
     records = []
     for row in rows:

@@ -26,6 +26,10 @@ from .errors import ParameterError
 #: x^8 + x^4 + x^3 + x^2 + 1, a standard irreducible modulus for GF(2^8).
 GF256_MODULUS = 0x11D
 
+#: Largest prime-field size: symbols are stored as uint16, and the
+#: encoded-file header keeps the modulus in 16 bits.
+_PRIME_LIMIT = 1 << 16
+
 #: Outputs per pass of the prime-field matmul: 512 KiB of float64.  At
 #: 2 MiB the temporaries came from freshly faulted pages or from reused
 #: heap depending on what the process had freed before (glibc's dynamic
@@ -312,6 +316,8 @@ class PrimeField(FieldSpec):
     kind = "prime"
 
     def __init__(self, p: int, u: int):
+        if p > _PRIME_LIMIT:
+            raise ParameterError(f"prime field size {p} exceeds {_PRIME_LIMIT}")
         if not _is_prime(p):
             raise ParameterError(f"{p} is not prime")
         self.modulus = p

@@ -4,8 +4,8 @@ Codes derive their fixed linear maps with the routines here: one
 vectorized row reduction at build time, the Vandermonde inverse, and
 Lagrange weights.  All arithmetic is exact; results substitute back into
 their systems with equality, never within a tolerance.  The maps are
-ndarrays and are applied with ``FieldSpec.np_matmul``; ``Matrix`` only
-carries the structured MBRR message of the scalar API.
+ndarrays and are applied with ``FieldSpec.np_matmul``; the per-symbol
+matrix routes they replaced live on only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -15,75 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularSystemError
-
-
-class Matrix:
-    """Dense row-major matrix of field symbols (plain ints)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[int] | None = None):
-        if entries is None:
-            entries = [0] * (rows * cols)
-        else:
-            entries = list(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat: list[int] = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.entries[i * n + i] = 1
-        return m
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def put(self, i: int, j: int, value: int) -> None:
-        self.entries[i * self.cols + j] = value
-
-    def row(self, i: int) -> list[int]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j: int) -> list[int]:
-        return self.entries[j :: self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def take_columns(self, cols: Sequence[int]) -> "Matrix":
-        out = Matrix(self.rows, len(cols))
-        for i in range(self.rows):
-            base = i * self.cols
-            for jj, j in enumerate(cols):
-                out.entries[i * len(cols) + jj] = self.entries[base + j]
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
 
 
 def row_reduce(F, A) -> tuple[np.ndarray, list[int]]:

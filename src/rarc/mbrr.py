@@ -18,11 +18,14 @@ fixed arrays, which ``bulk.repair_stripes`` applies to stored rows for
 ``sim.Cluster`` and ``rarc repair``; the scalar ``helper_response`` and
 ``repair`` apply them to one column of given symbols.
 
-Encoding applies one generator, the message layout composed with
-M -> M * Lambda, and reconstruction the inverse of the Vandermonde matrix
-on k given points, to a block of stripe columns; the scalar ``encode``,
-``reconstruct`` and ``Cluster.store`` pass single columns through the same
-code.
+``cell_layout`` is the one description of where the data symbols sit in
+M; packing, unpacking, the generator and the reconstruct structure checks
+all index through it.  Encoding applies one generator, that layout
+composed with M -> M * Lambda, and reconstruction the inverse of the
+Vandermonde matrix on k given points, to a block of stripe columns; the
+scalar ``encode``, ``reconstruct`` and ``Cluster.store`` pass single
+columns through the same code.  The scalar API carries M and the
+dbar x n code matrix C = M * Lambda as arrays of field symbols.
 """
 
 from __future__ import annotations
@@ -35,12 +38,7 @@ import numpy as np
 
 from .errors import ParameterError, VerificationError
 from .field import FieldSpec, eval_points
-from .linalg import (
-    Matrix,
-    lagrange_eval_weights,
-    lagrange_leading_weights,
-    vandermonde_inverse,
-)
+from .linalg import lagrange_eval_weights, lagrange_leading_weights, vandermonde_inverse
 from .params import SystemParams, check_helper_racks, check_node_set, mbrr_point
 
 #: Message layouts kept per process, one per SystemParams.
@@ -56,134 +54,80 @@ def j1_columns(p: SystemParams) -> list[int]:
     return [t * p.u + p.u - 1 for t in range(p.kbar)]
 
 
-def j2_columns(p: SystemParams) -> list[int]:
-    j1 = set(j1_columns(p))
-    return [j for j in range(p.k) if j not in j1]
-
-
-def _triangle_index(i: int, j: int, d: int) -> int:
-    # row-major position of (i, j), i <= j, in the upper triangle of a d x d block
-    return i * d - i * (i - 1) // 2 + (j - i)
-
-
-@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def message_layout(p: SystemParams) -> tuple[tuple[int | None, ...], ...]:
-    """dbar x k grid mapping matrix cells to data-symbol indices, computed
-    once per parameter set and immutable.
-
-    Symmetric-block cells share an index with their mirror; structural
-    zeros map to ``None``.  Fixing this layout makes serialization
-    canonical: the first dbar*(dbar+1)/2 symbols fill the upper triangle
-    of S row-major (mirrored below), the rest fill the remaining columns
-    column-major.
-    """
-    if p.dbar < 1:
-        raise ParameterError("message matrix requires dbar >= 1")
-    d = p.dbar
-    grid: list[list[int | None]] = [[None] * p.k for _ in range(d)]
-    j1 = j1_columns(p)
-    for t, col in enumerate(j1):
-        if t >= d:
-            continue  # structural zero column
-        for i in range(d):
-            lo, hi = min(i, t), max(i, t)
-            grid[i][col] = _triangle_index(lo, hi, d)
-    base = d * (d + 1) // 2
-    for cidx, col in enumerate(j2_columns(p)):
-        for i in range(d):
-            grid[i][col] = base + cidx * d + i
-    return tuple(tuple(row) for row in grid)
-
-
 def message_size(p: SystemParams) -> int:
     return (p.k - p.kbar) * p.dbar + p.dbar * (p.dbar + 1) // 2
 
 
-def pack_message(p: SystemParams, data: Sequence[int]) -> Matrix:
-    """Arrange B data symbols into the structured dbar x k message matrix."""
-    B = message_size(p)
-    if len(data) != B:
-        raise ParameterError(f"data must have {B} symbols, got {len(data)}")
-    grid = message_layout(p)
-    M = Matrix(p.dbar, p.k)
-    for i in range(p.dbar):
-        for j in range(p.k):
-            idx = grid[i][j]
-            if idx is not None:
-                M.put(i, j, data[idx])
-    return M
-
-
-def unpack_message(p: SystemParams, M: Matrix) -> list[int]:
-    """Inverse of ``pack_message``; does not validate structure."""
-    if (M.rows, M.cols) != (p.dbar, p.k):
-        raise ParameterError(f"message matrix must be {p.dbar}x{p.k}")
-    grid = message_layout(p)
-    data = [0] * message_size(p)
-    for i in range(p.dbar):
-        for j in range(p.k):
-            idx = grid[i][j]
-            if idx is not None:
-                data[idx] = M.at(i, j)
-    return data
-
-
 @dataclass(frozen=True)
 class CellLayout:
-    """The message layout as index arrays into the k*dbar cells of M
-    transposed: cell (i, j) of M sits at j*dbar + i.
+    """The message layout as read-only index arrays into the k*dbar cells
+    of M transposed: cell (i, j) of M sits at j*dbar + i.
 
-    ``filled`` and ``source`` pair every cell that carries a data symbol
-    with that symbol's index; ``data`` names one cell per data symbol.
-    The message structure holds when every ``mirror`` cell equals its
-    ``mirrored`` cell of the symmetric block and every ``zero`` cell of
-    the boundary tail is zero.
+    ``block[i, t]`` is the cell of S[i][t], in boundary column t.  ``data``
+    names one cell per data symbol: the upper triangle of S row-major,
+    then the non-boundary columns column-major.  ``filled`` and ``source``
+    pair every cell that carries a data symbol, the mirrored lower
+    triangle of S included, with that symbol's index.  ``zero`` lists the
+    boundary columns past S, which are structurally zero.
     """
 
+    block: np.ndarray
+    data: np.ndarray
     filled: np.ndarray
     source: np.ndarray
-    data: np.ndarray
-    mirror: np.ndarray
-    mirrored: np.ndarray
     zero: np.ndarray
 
-    @classmethod
-    def of(cls, p: SystemParams) -> "CellLayout":
-        d = p.dbar
-        grid = message_layout(p)
-        cells = [(j * d + i, grid[i][j]) for j in range(p.k) for i in range(d)]
-        filled = [(c, b) for c, b in cells if b is not None]
-        data = {b: c for c, b in filled}
-        j1 = j1_columns(p)
-        pairs = [(j1[t] * d + i, j1[i] * d + t) for t in range(d) for i in range(t)]
-        arrays = (
-            [c for c, _ in filled],
-            [b for _, b in filled],
-            [data[b] for b in range(len(data))],
-            [a for a, _ in pairs],
-            [b for _, b in pairs],
-            [col * d + i for col in j1[d:] for i in range(d)],
-        )
-        return cls(*(np.array(a, dtype=np.intp) for a in arrays))
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def cell_layout(p: SystemParams) -> CellLayout:
+    """The one message layout of a parameter set, computed once per process.
+
+    Fixing it makes serialization canonical: symmetric-block cells share
+    an index with their mirror, and structural zeros carry no symbol.
+    """
+    if p.dbar < 1:
+        raise ParameterError("message matrix requires dbar >= 1")
+    d = p.dbar
+    rows = np.arange(d)
+    j1 = np.array(j1_columns(p), dtype=np.intp)
+    rest = np.delete(np.arange(p.k), j1)
+    block = j1[None, :d] * d + rows[:, None]
+    upper = np.triu_indices(d)
+    data = np.concatenate([block[upper], (rest[:, None] * d + rows).ravel()])
+    symbol = np.full(p.k * d, -1, dtype=np.intp)
+    symbol[data] = np.arange(data.size)
+    symbol[block.T[upper]] = np.arange(upper[0].size)
+    filled = np.flatnonzero(symbol >= 0)
+    zero = (j1[d:, None] * d + rows).ravel()
+    arrays = [block, data, filled, symbol[filled], zero]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return CellLayout(*arrays)
 
 
-def symmetric_block(p: SystemParams, M: Matrix) -> Matrix:
+def pack_message(p: SystemParams, data: Sequence[int]) -> np.ndarray:
+    """Arrange B data symbols into the structured dbar x k message matrix."""
+    data = np.asarray(data)
+    B = message_size(p)
+    if data.shape != (B,):
+        raise ParameterError(f"data must have {B} symbols, got {data.size}")
+    layout = cell_layout(p)
+    cells = np.zeros(p.k * p.dbar, dtype=data.dtype)
+    cells[layout.filled] = data[layout.source]
+    return cells.reshape(p.k, p.dbar).T
+
+
+def unpack_message(p: SystemParams, M) -> list[int]:
+    """Inverse of ``pack_message``; does not validate structure."""
+    M = np.asarray(M)
+    if M.shape != (p.dbar, p.k):
+        raise ParameterError(f"message matrix must be {p.dbar}x{p.k}")
+    return M.T.ravel()[cell_layout(p).data].tolist()
+
+
+def symmetric_block(p: SystemParams, M) -> np.ndarray:
     """The dbar x dbar block S sitting in the first dbar boundary columns."""
-    j1 = j1_columns(p)
-    S = Matrix(p.dbar, p.dbar)
-    for i in range(p.dbar):
-        for t in range(p.dbar):
-            S.put(i, t, M.at(i, j1[t]))
-    return S
-
-
-@dataclass(frozen=True)
-class LocalPolySet:
-    """Rack-local polynomial family: coeffs[i][j] is the x^j coefficient of
-    the i-th degree-<= u-1 polynomial; ``leading`` collects the x^(u-1) row."""
-
-    coeffs: tuple[tuple[int, ...], ...]
-    leading: tuple[int, ...]
+    return np.asarray(M).T.ravel()[cell_layout(p).block]
 
 
 class MbrrCode:
@@ -254,17 +198,13 @@ class MbrrCode:
         return out
 
     @functools.cached_property
-    def layout(self) -> CellLayout:
-        return CellLayout.of(self.params)
-
-    @functools.cached_property
     def generator(self) -> np.ndarray:
         """(n*dbar x B) map from data symbols to node-major stored symbols,
         read-only: the message layout composed with M -> M * Lambda."""
         p = self.params
-        filled, source = self.layout.filled, self.layout.source
+        layout = cell_layout(p)
         gen = np.zeros((p.n, p.dbar, self.B), dtype=self.field.np_dtype)
-        gen[:, filled % p.dbar, source] = self.powers[:, filled // p.dbar]
+        gen[:, layout.filled % p.dbar, layout.source] = self.powers[:, layout.filled // p.dbar]
         gen = gen.reshape(p.n * p.dbar, self.B)
         gen.setflags(write=False)
         return gen
@@ -277,53 +217,46 @@ class MbrrCode:
             raise ParameterError(f"data block must have {self.B} rows")
         return self.field.np_matmul(self.generator, data)
 
-    def encode(self, M: Matrix) -> Matrix:
-        """Code matrix C = M * Lambda; node (e, g) stores column (e*u + g)."""
+    def _message(self, M) -> np.ndarray:
+        """M as a validated dbar x k array of symbols."""
         p = self.params
-        if (M.rows, M.cols) != (p.dbar, p.k):
+        M = self.field.symbol_array(M)
+        if M.shape != (p.dbar, p.k):
             raise ParameterError(f"message matrix must be {p.dbar}x{p.k}")
-        cells = self.field.symbol_array(M.entries).reshape(p.dbar, p.k).T
-        stored = self.field.np_matmul(self.powers, cells)  # row c: node c's column
-        return Matrix(p.dbar, p.n, stored.T.ravel().tolist())
+        return M
 
-    def node_column(self, C: Matrix, index: int) -> list[int]:
+    def encode(self, M) -> np.ndarray:
+        """Code matrix C = M * Lambda, dbar x n; node (e, g) stores column (e*u + g)."""
+        stored = self.field.np_matmul(self.powers, self._message(M).T)  # row c: node c's column
+        return stored.T
+
+    def node_column(self, C, index: int) -> list[int]:
         self.params.node_pair(index)  # bounds check
-        return C.col(index)
+        return np.asarray(C)[:, index].tolist()
 
     # -- the rack-local polynomial family --------------------------------------
 
-    def local_polys(self, e: int, M: Matrix) -> LocalPolySet:
-        """Degree-<= u-1 polynomials matching the global rows on rack e.
+    def local_polys(self, e: int, M) -> np.ndarray:
+        """Degree-<= u-1 polynomials matching the global rows on rack e, as a
+        dbar x u array: entry (i, j) is the x^j coefficient of the i-th
+        polynomial, so the last column is the leading vector.
 
-        Coefficient j collects the message columns congruent to j mod u,
-        scaled by powers of xi**(e*u); the index ranges follow from
-        k = kbar*u + u0, with the top coefficient cut to the symmetric
-        block because the boundary columns beyond it are zero.
+        Coefficient j collects the message columns t*u + j, scaled by
+        (xi**(e*u))**t: M, zero-padded to (kbar + 1)*u columns, is regrouped
+        into one row per (i, j) and multiplied by the powers of the rack
+        point.
         """
         p = self.params
         if not 0 <= e < p.nbar:
             raise ParameterError(f"rack {e} out of range")
         F = self.field
+        padded = np.zeros((p.dbar, (p.kbar + 1) * p.u), dtype=F.np_dtype)
+        padded[:, : p.k] = self._message(M)
+        grouped = padded.reshape(p.dbar, p.kbar + 1, p.u).transpose(0, 2, 1)
         x = self.rack_points[e]
-        coeffs = []
-        for i in range(p.dbar):
-            row = []
-            for j in range(p.u):
-                if j == p.u - 1:
-                    ts = range(p.dbar)
-                elif j < p.u0:
-                    ts = range(p.kbar + 1)
-                else:
-                    ts = range(p.kbar)
-                acc = 0
-                for t in ts:
-                    acc = F.add(acc, F.mul(M.at(i, t * p.u + j), F.pow(x, t)))
-                row.append(acc)
-            coeffs.append(tuple(row))
-        return LocalPolySet(
-            coeffs=tuple(coeffs),
-            leading=tuple(row[p.u - 1] for row in coeffs),
-        )
+        powers = F.symbol_array([[F.pow(x, t)] for t in range(p.kbar + 1)])
+        coeffs = F.np_matmul(grouped.reshape(p.dbar * p.u, p.kbar + 1), powers)
+        return coeffs.reshape(p.dbar, p.u)
 
     def leading_vector_from_storage(self, e: int, columns: Sequence[Sequence[int]]) -> list[int]:
         """Leading coefficients of the rack-local polynomials, computed from
@@ -462,8 +395,8 @@ class MbrrCode:
                     f"the given node set is inconsistent, first at stripe {int(bad.argmax())}"
                 )
         cells = cells.reshape(p.k * d, stripes)
-        layout = self.layout
-        if (cells[layout.mirror] != cells[layout.mirrored]).any():
+        layout = cell_layout(p)
+        if (cells[layout.block] != cells[layout.block.T]).any():
             raise VerificationError("symmetric block mismatch")
         if cells[layout.zero].any():
             raise VerificationError("zero tail of the boundary columns is nonzero")
@@ -486,16 +419,19 @@ class MbrrCode:
 
     # -- structural check surface -------------------------------------------------
 
-    def mbr_codeword_check(self, M: Matrix, C: Matrix) -> bool:
+    def mbr_codeword_check(self, M, C) -> bool:
         """True iff the leading vectors recovered from the stored columns
         equal S times the Vandermonde matrix on the rack points -- i.e. the
         cross-rack storage really carries the block S.  Perturbing any
         stored symbol breaks the identity."""
         p = self.params
-        S = self.field.symbol_array(symmetric_block(p, M).to_rows())
-        expected = self.field.np_matmul(S, self.rack_powers.T)  # (dbar x nbar)
-        leading = [
-            self.leading_vector_from_storage(e, [C.col(p.node_index(e, g)) for g in range(p.u)])
-            for e in range(p.nbar)
-        ]
-        return expected.T.tolist() == leading
+        F = self.field
+        C = F.symbol_array(C)
+        if C.shape != (p.dbar, p.n):
+            raise ParameterError(f"code matrix must be {p.dbar}x{p.n}")
+        S = symmetric_block(p, self._message(M))
+        expected = F.np_matmul(S, self.rack_powers.T)  # (dbar x nbar)
+        # column e of the block-diagonal weights reads rack e's leading vector
+        weights = np.zeros((p.n, p.nbar), dtype=F.np_dtype)
+        weights[np.arange(p.n), np.arange(p.n) // p.u] = self.leading_weights.ravel()
+        return bool((F.np_matmul(C, weights) == expected).all())

@@ -105,17 +105,17 @@ def _mbrr_identities(seed: int) -> SuiteResult:
             for g in range(p.u):
                 idx = p.node_index(e, g)
                 for i in range(p.dbar):
-                    if poly_eval(field, list(polys.coeffs[i]), code.lam[idx]) != C.at(i, idx):
+                    if poly_eval(field, polys[i].tolist(), code.lam[idx]) != C[i, idx]:
                         return SuiteResult(
                             "mbrr-identities", False, f"local family misses node ({e},{g})"
                         )
             stored = [code.node_column(C, p.node_index(e, g)) for g in range(p.u)]
-            if code.leading_vector_from_storage(e, stored) != list(polys.leading):
+            if code.leading_vector_from_storage(e, stored) != polys[:, -1].tolist():
                 return SuiteResult("mbrr-identities", False, f"leading vector off at rack {e}")
         if not code.mbr_codeword_check(M, C):
             return SuiteResult("mbrr-identities", False, "leading-vector transport broken")
         S = symmetric_block(p, M)
-        if S.at(0, 0) != M.at(0, p.u - 1):
+        if S[0, 0] != M[0, p.u - 1]:
             return SuiteResult("mbrr-identities", False, "symmetric block extraction off")
         if code.reconstruct(
             [(idx, code.node_column(C, idx)) for idx in range(p.k)]

@@ -7,8 +7,9 @@ inverse, to a block of stripe columns.  The functions here reach the same
 symbols by the routes the maps replaced, one symbol at a time in plain
 Python:
 
-- per-symbol products, exact Gaussian elimination, the rank it reports,
-  inversion, and a left-to-right independence sweep;
+- a dense row-major ``Matrix`` of plain ints, per-symbol products, exact
+  Gaussian elimination, the rank it reports, inversion, and a
+  left-to-right independence sweep;
 - Lagrange synthesis, O(m^2) field operations per interpolation or
   Vandermonde inverse;
 - minimum storage: the parity positions as the linear map
@@ -20,9 +21,85 @@ Python:
   extra columns and the message structure, then unpacking.
 """
 
+from __future__ import annotations
+
+from typing import Sequence
+
 from rarc.errors import ParameterError, SingularSystemError, VerificationError
-from rarc.linalg import Matrix, _check_points, poly_eval
+from rarc.linalg import _check_points, poly_eval
 from rarc.mbrr import j1_columns, unpack_message
+
+
+# -- the container -----------------------------------------------------------------
+
+
+class Matrix:
+    """Dense row-major matrix of field symbols (plain ints)."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[int] | None = None):
+        if entries is None:
+            entries = [0] * (rows * cols)
+        else:
+            entries = list(entries)
+        if len(entries) != rows * cols:
+            raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Matrix":
+        r = len(rows)
+        c = len(rows[0]) if r else 0
+        flat: list[int] = []
+        for row in rows:
+            if len(row) != c:
+                raise ValueError("ragged rows")
+            flat.extend(row)
+        return cls(r, c, flat)
+
+    @classmethod
+    def identity(cls, n: int) -> "Matrix":
+        m = cls(n, n)
+        for i in range(n):
+            m.entries[i * n + i] = 1
+        return m
+
+    def at(self, i: int, j: int) -> int:
+        return self.entries[i * self.cols + j]
+
+    def put(self, i: int, j: int, value: int) -> None:
+        self.entries[i * self.cols + j] = value
+
+    def row(self, i: int) -> list[int]:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def col(self, j: int) -> list[int]:
+        return self.entries[j :: self.cols]
+
+    def to_rows(self) -> list[list[int]]:
+        return [self.row(i) for i in range(self.rows)]
+
+    def take_columns(self, cols: Sequence[int]) -> "Matrix":
+        out = Matrix(self.rows, len(cols))
+        for i in range(self.rows):
+            base = i * self.cols
+            for jj, j in enumerate(cols):
+                out.entries[i * len(cols) + jj] = self.entries[base + j]
+        return out
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Matrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __repr__(self):
+        return f"Matrix({self.rows}x{self.cols})"
 
 
 # -- products -----------------------------------------------------------------------
@@ -271,8 +348,8 @@ def lambda_matrix(code):
 
 
 def mbrr_encode(code, M):
-    """C = M * Lambda; node c stores column c."""
-    return mat_mul(code.field, M, lambda_matrix(code))
+    """C = M * Lambda for a dbar x k message array; node c stores column c."""
+    return mat_mul(code.field, Matrix.from_rows(M.tolist()), lambda_matrix(code))
 
 
 def _check_structure(p, M):
@@ -304,4 +381,4 @@ def mbrr_reconstruct(code, available):
             if poly_eval(F, M.row(i), code.lam[idx]) != got[idx][i]:
                 raise VerificationError("the given node set is inconsistent")
     _check_structure(p, M)
-    return unpack_message(p, M)
+    return unpack_message(p, M.to_rows())

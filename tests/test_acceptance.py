@@ -254,7 +254,7 @@ def test_criterion_structural_identities(capsys):
             for g in range(u):
                 idx = p.node_index(e, g)
                 for i in range(p.dbar):
-                    if poly_eval(field, list(polys.coeffs[i]), array.lam[idx]) != C.at(i, idx):
+                    if poly_eval(field, polys[i].tolist(), array.lam[idx]) != C[i, idx]:
                         violations += 1
         if not array.mbr_codeword_check(M, C):
             violations += 1

@@ -331,7 +331,7 @@ def test_mbrr_batch_encode_matches_scalar():
         body = code.encode_stripes(data)
         for s in range(7):
             C = code.encode(pack_message(p, [int(v) for v in data[:, s]]))
-            flat = [C.at(i, node) for node in range(p.n) for i in range(p.dbar)]
+            flat = [C[i, node] for node in range(p.n) for i in range(p.dbar)]
             assert [int(v) for v in body[:, s]] == flat
 
 
@@ -402,5 +402,5 @@ def test_bulk_encode_columns_match_scalar_encode(case):
             expected = code.encode(stripe)
         else:
             C = code.encode(pack_message(p, stripe))
-            expected = [C.at(i, node) for node in range(p.n) for i in range(p.dbar)]
+            expected = [C[i, node] for node in range(p.n) for i in range(p.dbar)]
         assert body[:, s].tolist() == expected

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -288,15 +289,16 @@ def test_reconstruct_rejects_node_indices_outside_the_cluster(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
-    "command",
+    "command,message",
     [
-        ["reconstruct", "--nodes", "0-2000000"],
-        ["reconstruct", "--nodes", "3,2000000-5"],
-        ["repair", "--failed", "0,0", "--policy", "1-2000000"],
+        (["reconstruct", "--nodes", "0-2000000"], "2000000 outside [0, "),
+        (["reconstruct", "--nodes", "3,2000000-5"], "2000000 outside [0, "),
+        (["repair", "--failed", "0,0", "--policy", "1-2000000"], "2000000 outside [0, "),
+        (["reconstruct", "--nodes", "0-43,49-45"], "range '49-45' runs high to low"),
     ],
-    ids=["nodes", "nodes-range-start", "policy"],
+    ids=["nodes", "nodes-range-start", "policy", "nodes-high-to-low"],
 )
-def test_huge_list_ranges_exit_1_without_expanding(tmp_path, capsys, command):
+def test_huge_list_ranges_exit_1_without_expanding(tmp_path, capsys, command, message):
     src = tmp_path / "payload.bin"
     src.write_bytes(bytes(range(256)) * 4)
     enc = tmp_path / "data.rarc"
@@ -312,7 +314,7 @@ def test_huge_list_ranges_exit_1_without_expanding(tmp_path, capsys, command):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert rc == 1
-    assert "2000000 outside [0, " in err
+    assert message in err
     assert not (tmp_path / "o2").exists()
 
 
@@ -322,6 +324,27 @@ def test_table_rejects_counts_past_the_header_range(capsys, option):
     assert rc == 1
     assert f"{option[2:]} 65536 outside [0, 65536)" in err
     assert out == ""
+
+
+def test_table_rejects_grids_past_the_cell_limit(capsys):
+    started = time.perf_counter()
+    rc, out, err = run_cli(capsys, "table", "--nbar", "0-65535", "--dbar", "0-65535")
+    assert time.perf_counter() - started < 1.0
+    assert rc == 1
+    assert "table grid of 65536 x 65536 cells exceeds 65536" in err
+    assert out == ""
+
+
+def test_encode_rejects_prime_fields_past_16_bits(tmp_path, capsys):
+    # n = 65522 needs p = 65537, whose symbols and header modulus overflow u16
+    src = tmp_path / "payload.bin"
+    src.write_bytes(b"payload")
+    enc = tmp_path / "data.rarc"
+    args = ["--n", "65522", "--u", "2", "--k", "65520", "--d", "1"]
+    rc, _, err = run_cli(capsys, "encode", "--code", "mbrr", *args, str(src), str(enc))
+    assert rc == 1
+    assert "prime field size 65537 exceeds 65536" in err
+    assert not enc.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,14 +6,14 @@ replaced.  Both must agree on every message and node set, and a corrupted
 node must fail both.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rarc.errors import ParameterError, SingularSystemError, VerificationError
 from rarc.field import Gf256Field, PrimeField
-from rarc.linalg import Matrix
-from rarc.mbrr import MbrrCode, message_layout, pack_message
+from rarc.mbrr import MbrrCode, cell_layout, pack_message
 from rarc.msrr import MsrrCode
 from rarc.params import SystemParams
 from rarc.sim import Cluster
@@ -93,13 +93,13 @@ def test_mbrr_scalar_routes_equal_oracle(data):
     message = data.draw(symbols(code, code.B))
     M = pack_message(p, message)
     C = code.encode(M)
-    assert C == oracle.mbrr_encode(code, M)
+    assert C.tolist() == oracle.mbrr_encode(code, M).to_rows()
     nodes, damaged = data.draw(node_set(code))
-    supplied = [(i, C.col(i)) for i in nodes]
+    supplied = [(i, C[:, i].tolist()) for i in nodes]
     if damaged is not None:
         row = data.draw(st.integers(0, p.dbar - 1))
         delta = data.draw(st.integers(1, code.field.q - 1))
-        col = C.col(damaged)
+        col = C[:, damaged].tolist()
         col[row] = code.field.add(col[row], delta)
         supplied = [(i, col if i == damaged else c) for i, c in supplied]
     got = outcome(code.reconstruct, supplied)
@@ -111,15 +111,16 @@ def test_mbrr_scalar_routes_equal_oracle(data):
 def test_mbrr_encode_of_an_unstructured_matrix_is_m_times_lambda():
     code = MBRR_CODES[2]
     p = code.params
-    M = Matrix(p.dbar, p.k, [(3 * j + 1) % code.field.q for j in range(p.dbar * p.k)])
-    assert code.encode(M) == oracle.mbrr_encode(code, M)
+    M = np.array([(3 * j + 1) % code.field.q for j in range(p.dbar * p.k)]).reshape(p.dbar, p.k)
+    assert code.encode(M).tolist() == oracle.mbrr_encode(code, M).to_rows()
 
 
 def test_message_layout_is_built_once_and_immutable():
     p = SystemParams(n=50, u=5, k=44, dbar=4)
-    layout = message_layout(p)
-    assert message_layout(SystemParams(n=50, u=5, k=44, dbar=4)) is layout
-    assert isinstance(layout, tuple) and all(isinstance(row, tuple) for row in layout)
+    layout = cell_layout(p)
+    assert cell_layout(SystemParams(n=50, u=5, k=44, dbar=4)) is layout
+    arrays = (layout.block, layout.data, layout.filled, layout.source, layout.zero)
+    assert all(isinstance(arr, np.ndarray) and not arr.flags.writeable for arr in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +145,7 @@ def entry_points(code, bad):
         yield lambda: code.repair((0, 0), [bad] + [0] * (p.u - 2), [(1, 0)])
         yield lambda: code.helper_response(1, [0] * (p.u - 1) + [bad])
     else:
-        M = Matrix(p.dbar, p.k, [bad] + [0] * (p.dbar * p.k - 1))
+        M = np.array([bad] + [0] * (p.dbar * p.k - 1)).reshape(p.dbar, p.k)
         column, damaged = [0] * p.dbar, [bad] + [0] * (p.dbar - 1)
         yield lambda: code.encode(M)
         yield lambda: code.reconstruct([(0, damaged)] + [(i, column) for i in range(1, p.n)])

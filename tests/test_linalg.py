@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rarc.errors import SingularSystemError
 from rarc.field import Gf256Field, PrimeField, make_field
 from rarc.linalg import (
-    Matrix,
     lagrange_eval_weights,
     lagrange_leading_weights,
     poly_eval,
@@ -17,6 +16,7 @@ from rarc.linalg import (
 )
 import codec_oracle as oracle
 from codec_oracle import (
+    Matrix,
     gaussian_solve,
     independent_prefix,
     invert,

@@ -5,12 +5,11 @@ import pytest
 
 from rarc.errors import ParameterError, VerificationError
 from rarc.field import make_field
-from rarc.linalg import Matrix, poly_eval
+from rarc.linalg import poly_eval
 from rarc.mbrr import (
     MbrrCode,
+    cell_layout,
     j1_columns,
-    j2_columns,
-    message_layout,
     message_size,
     pack_message,
     symmetric_block,
@@ -18,12 +17,16 @@ from rarc.mbrr import (
 )
 from rarc.params import SystemParams, cutset_bound, mbrr_point
 
-from codec_oracle import mat_mul
+from codec_oracle import Matrix, mat_mul
 
 
 def build(n, u, k, dbar, preference="prime"):
     p = SystemParams(n=n, u=u, k=k, dbar=dbar)
     return MbrrCode.build(p, make_field(n, u, preference))
+
+
+# the production shapes the benchmark and the CLI examples run
+PRODUCTION = (build(50, 5, 44, 4, "gf256"), build(132, 4, 120, 4))
 
 
 def random_data(code, rng):
@@ -49,27 +52,35 @@ def stored_columns(code, C, rack):
 def test_column_split():
     p = SystemParams(n=10, u=2, k=7, dbar=2)
     assert j1_columns(p) == [1, 3, 5]
-    assert j2_columns(p) == [0, 2, 4, 6]
+    rest = cell_layout(p).data[p.dbar * (p.dbar + 1) // 2 :] // p.dbar
+    assert sorted(set(rest.tolist())) == [0, 2, 4, 6]
 
 
 def test_pack_zero_data_gives_zero_matrix():
     p = SystemParams(n=8, u=2, k=5, dbar=1)
     M = pack_message(p, [0] * message_size(p))
-    assert all(v == 0 for v in M.entries)
+    assert all(v == 0 for v in M.ravel())
 
 
 def test_single_helper_block_is_scalar():
     p = SystemParams(n=8, u=2, k=5, dbar=1)
     assert message_size(p) == (5 - 2) * 1 + 1
     M = pack_message(p, list(range(1, message_size(p) + 1)))
-    assert symmetric_block(p, M).to_rows() == [[1]]
+    assert symmetric_block(p, M).tolist() == [[1]]
 
 
 def test_pack_unpack_round_trip():
     rng = random.Random(73)
-    for n, u, k, dbar in [(8, 2, 5, 1), (10, 2, 7, 2), (12, 3, 8, 2), (12, 2, 8, 3)]:
+    for n, u, k, dbar, preference in [
+        (8, 2, 5, 1, "prime"),
+        (10, 2, 7, 2, "prime"),
+        (12, 3, 8, 2, "prime"),
+        (12, 2, 8, 3, "prime"),
+        (50, 5, 44, 4, "gf256"),
+        (132, 4, 120, 4, "prime"),
+    ]:
         p = SystemParams(n=n, u=u, k=k, dbar=dbar)
-        f = make_field(n, u, "prime")
+        f = make_field(n, u, preference)
         data = [rng.randrange(f.q) for _ in range(message_size(p))]
         assert unpack_message(p, pack_message(p, data)) == data
 
@@ -81,12 +92,12 @@ def test_pack_structure_matches_contract():
     S = symmetric_block(p, M)
     for i in range(p.dbar):
         for j in range(p.dbar):
-            assert S.at(i, j) == S.at(j, i)
+            assert S[i, j] == S[j, i]
     # boundary columns past the block are structurally zero
     for col in j1_columns(p)[p.dbar :]:
-        assert all(M.at(i, col) == 0 for i in range(p.dbar))
+        assert all(M[i, col] == 0 for i in range(p.dbar))
     # first upper-triangle symbol lands at S[0][0]
-    assert S.at(0, 0) == data[0]
+    assert S[0, 0] == data[0]
 
 
 def test_pack_validations():
@@ -94,7 +105,7 @@ def test_pack_validations():
     with pytest.raises(ParameterError):
         pack_message(p, [0] * (message_size(p) + 1))
     with pytest.raises(ParameterError):
-        message_layout(SystemParams(n=8, u=2, k=5, dbar=0))
+        cell_layout(SystemParams(n=8, u=2, k=5, dbar=0))
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +115,8 @@ def test_pack_validations():
 
 def test_encode_zero_matrix():
     code = build(8, 2, 5, 1)
-    C = code.encode(Matrix(1, 5))
-    assert all(v == 0 for v in C.entries)
+    C = code.encode([[0] * 5])
+    assert all(v == 0 for v in C.ravel())
 
 
 def test_encode_single_row_hand_instance():
@@ -115,11 +126,11 @@ def test_encode_single_row_hand_instance():
     data = [4, 2]
     M = pack_message(p, data)
     # layout: boundary column 1 holds the block, column 0 the remaining symbol
-    assert M.to_rows() == [[2, 4]]
+    assert M.tolist() == [[2, 4]]
     C = code.encode(M)
     for idx in range(p.n):
         lam = code.lam[idx]
-        assert C.at(0, idx) == f.add(2, f.mul(4, lam))
+        assert C[0, idx] == f.add(2, f.mul(4, lam))
 
 
 def test_encode_matches_polynomial_evaluation():
@@ -130,7 +141,7 @@ def test_encode_matches_polynomial_evaluation():
         for idx in range(p.n):
             lam = code.lam[idx]
             for i in range(p.dbar):
-                assert C.at(i, idx) == poly_eval(f, M.row(i), lam)
+                assert C[i, idx] == poly_eval(f, M[i].tolist(), lam)
 
 
 def test_node_column_has_dbar_symbols():
@@ -149,7 +160,7 @@ def test_node_column_has_dbar_symbols():
 def test_local_polys_agree_with_rows_on_own_rack():
     rng = random.Random(89)
     # covers u0 = 0 (empty first index class) and u0 > 0
-    for code in (build(8, 2, 5, 1), build(12, 3, 6, 1), build(10, 2, 7, 2)):
+    for code in (build(8, 2, 5, 1), build(12, 3, 6, 1), build(10, 2, 7, 2), *PRODUCTION):
         _, M, C = encode_random(code, rng)
         p, f = code.params, code.field
         for e in range(p.nbar):
@@ -157,7 +168,7 @@ def test_local_polys_agree_with_rows_on_own_rack():
             for g in range(p.u):
                 idx = p.node_index(e, g)
                 for i in range(p.dbar):
-                    assert poly_eval(f, list(polys.coeffs[i]), code.lam[idx]) == C.at(i, idx)
+                    assert poly_eval(f, polys[i].tolist(), code.lam[idx]) == C[i, idx]
 
 
 def test_local_polys_rack_zero_is_plain_column_sums():
@@ -176,17 +187,17 @@ def test_local_polys_rack_zero_is_plain_column_sums():
                 ts = range(p.kbar)
             acc = 0
             for t in ts:
-                acc = f.add(acc, M.at(i, t * p.u + j))  # xi^0 scaling
-            assert polys.coeffs[i][j] == acc
+                acc = f.add(acc, int(M[i, t * p.u + j]))  # xi^0 scaling
+            assert polys[i, j] == acc
 
 
 def test_leading_vector_from_storage_matches_message_route():
     rng = random.Random(101)
-    for code in (build(8, 2, 5, 1), build(10, 2, 7, 2), build(12, 3, 8, 2)):
+    for code in (build(8, 2, 5, 1), build(10, 2, 7, 2), build(12, 3, 8, 2), *PRODUCTION):
         _, M, C = encode_random(code, rng)
         p = code.params
         for e in range(p.nbar):
-            from_message = list(code.local_polys(e, M).leading)
+            from_message = code.local_polys(e, M)[:, -1].tolist()
             from_storage = code.leading_vector_from_storage(e, stored_columns(code, C, e))
             assert from_storage == from_message
 
@@ -215,24 +226,24 @@ def test_leading_vector_two_node_closed_form():
 
 def test_transport_identity_exact():
     rng = random.Random(107)
-    for code in (build(8, 2, 5, 1), build(10, 2, 7, 2), build(12, 3, 8, 2)):
+    for code in (build(8, 2, 5, 1), build(10, 2, 7, 2), build(12, 3, 8, 2), *PRODUCTION):
         _, M, C = encode_random(code, rng)
         p, f = code.params, code.field
         assert code.mbr_codeword_check(M, C)
-        S = symmetric_block(p, M)
+        S = Matrix.from_rows(symmetric_block(p, M).tolist())
         V = Matrix.from_rows(
             [[f.pow(code.rack_points[e], i) for e in range(p.nbar)] for i in range(p.dbar)]
         )
         expected = mat_mul(f, S, V)
         for e in range(p.nbar):
-            assert list(code.local_polys(e, M).leading) == expected.col(e)
+            assert code.local_polys(e, M)[:, -1].tolist() == expected.col(e)
 
 
 def test_transport_breaks_under_mutation():
     rng = random.Random(109)
     code = build(8, 2, 5, 1)
     _, M, C = encode_random(code, rng)
-    C.put(0, 3, code.field.add(C.at(0, 3), 1))  # perturb one stored symbol
+    C[0, 3] = code.field.add(int(C[0, 3]), 1)  # perturb one stored symbol
     assert not code.mbr_codeword_check(M, C)
 
 
@@ -241,8 +252,8 @@ def test_transport_single_helper_constant_row():
     code = build(8, 2, 5, 1)
     _, M, _ = encode_random(code, rng)
     p = code.params
-    s00 = symmetric_block(p, M).at(0, 0)
-    leadings = {tuple(code.local_polys(e, M).leading) for e in range(p.nbar)}
+    s00 = symmetric_block(p, M)[0, 0]
+    leadings = {tuple(code.local_polys(e, M)[:, -1].tolist()) for e in range(p.nbar)}
     assert leadings == {(s00,)}
 
 
@@ -251,7 +262,7 @@ def test_symmetry_transport_between_rack_pairs():
     code = build(10, 2, 7, 2)
     _, M, _ = encode_random(code, rng)
     p, f = code.params, code.field
-    S = symmetric_block(p, M)
+    S = symmetric_block(p, M).tolist()
     for a in range(p.nbar):
         for b in range(p.nbar):
             va = [f.pow(code.rack_points[a], i) for i in range(p.dbar)]
@@ -259,8 +270,8 @@ def test_symmetry_transport_between_rack_pairs():
             lhs = rhs = 0
             for i in range(p.dbar):
                 for j in range(p.dbar):
-                    lhs = f.add(lhs, f.mul(va[i], f.mul(S.at(i, j), vb[j])))
-                    rhs = f.add(rhs, f.mul(vb[i], f.mul(S.at(i, j), va[j])))
+                    lhs = f.add(lhs, f.mul(va[i], f.mul(S[i][j], vb[j])))
+                    rhs = f.add(rhs, f.mul(vb[i], f.mul(S[i][j], va[j])))
             assert lhs == rhs
 
 
@@ -287,7 +298,7 @@ def test_helper_response_matches_block_inner_product():
     code = build(10, 2, 7, 2)
     _, M, C = encode_random(code, rng)
     p, f = code.params, code.field
-    S = symmetric_block(p, M)
+    S = symmetric_block(p, M).tolist()
     for helper in range(1, p.nbar):
         got = code.helper_response(helper, 0, stored_columns(code, C, helper))
         va = [f.pow(code.rack_points[0], i) for i in range(p.dbar)]
@@ -295,7 +306,7 @@ def test_helper_response_matches_block_inner_product():
         want = 0
         for i in range(p.dbar):
             for j in range(p.dbar):
-                want = f.add(want, f.mul(va[i], f.mul(S.at(i, j), vb[j])))
+                want = f.add(want, f.mul(va[i], f.mul(S[i][j], vb[j])))
         assert got == want
 
 
@@ -327,7 +338,7 @@ def repair_via_storage(code, C, failed, helper_set):
 
 def test_repair_zero_codeword():
     code = build(8, 2, 5, 1)
-    C = code.encode(Matrix(1, 5))
+    C = code.encode([[0] * 5])
     assert repair_via_storage(code, C, (0, 0), [2]) == [0]
 
 
