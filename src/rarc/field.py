@@ -383,12 +383,12 @@ class PrimeField(FieldSpec):
 
 
 def smallest_prime_field(n: int, u: int) -> int:
-    """Smallest prime p > n with u | (p - 1)."""
-    p = n + 1
-    while True:
+    """Smallest prime p > n with u | (p - 1), searched only up to the
+    symbol limit: a larger p would overflow the uint16 symbols."""
+    for p in range(n + 1, _PRIME_LIMIT + 1):
         if _is_prime(p) and (p - 1) % u == 0:
             return p
-        p += 1
+    raise ParameterError(f"no prime p > {n} with {u} | (p - 1) is at most {_PRIME_LIMIT}")
 
 
 def make_field(n: int, u: int, preference: str = "auto") -> FieldSpec:

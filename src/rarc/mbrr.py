@@ -127,7 +127,10 @@ def unpack_message(p: SystemParams, M) -> list[int]:
 
 def symmetric_block(p: SystemParams, M) -> np.ndarray:
     """The dbar x dbar block S sitting in the first dbar boundary columns."""
-    return np.asarray(M).T.ravel()[cell_layout(p).block]
+    M = np.asarray(M)
+    if M.shape != (p.dbar, p.k):
+        raise ParameterError(f"message matrix must be {p.dbar}x{p.k}")
+    return M.T.ravel()[cell_layout(p).block]
 
 
 class MbrrCode:
@@ -431,7 +434,8 @@ class MbrrCode:
             raise ParameterError(f"code matrix must be {p.dbar}x{p.n}")
         S = symmetric_block(p, self._message(M))
         expected = F.np_matmul(S, self.rack_powers.T)  # (dbar x nbar)
-        # column e of the block-diagonal weights reads rack e's leading vector
-        weights = np.zeros((p.n, p.nbar), dtype=F.np_dtype)
-        weights[np.arange(p.n), np.arange(p.n) // p.u] = self.leading_weights.ravel()
-        return bool((F.np_matmul(C, weights) == expected).all())
+        leading = [
+            self.leading_vector_from_storage(e, C[:, e * p.u : (e + 1) * p.u].T.tolist())
+            for e in range(p.nbar)
+        ]
+        return expected.T.tolist() == leading

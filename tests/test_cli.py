@@ -335,15 +335,19 @@ def test_table_rejects_grids_past_the_cell_limit(capsys):
     assert out == ""
 
 
-def test_encode_rejects_prime_fields_past_16_bits(tmp_path, capsys):
-    # n = 65522 needs p = 65537, whose symbols and header modulus overflow u16
+@pytest.mark.parametrize("n", [65522, 10**12], ids=["n-65522", "n-1e12"])
+def test_encode_rejects_prime_fields_past_16_bits(tmp_path, capsys, n):
+    # n = 65522 needs p = 65537, whose symbols and header modulus overflow u16;
+    # the field search stops at the limit instead of scanning up to n = 10**12
     src = tmp_path / "payload.bin"
     src.write_bytes(b"payload")
     enc = tmp_path / "data.rarc"
-    args = ["--n", "65522", "--u", "2", "--k", "65520", "--d", "1"]
+    args = ["--n", str(n), "--u", "2", "--k", str(n - 2), "--d", "1"]
+    started = time.perf_counter()
     rc, _, err = run_cli(capsys, "encode", "--code", "mbrr", *args, str(src), str(enc))
+    assert time.perf_counter() - started < 1.0
     assert rc == 1
-    assert "prime field size 65537 exceeds 65536" in err
+    assert f"no prime p > {n} with 2 | (p - 1) is at most 65536" in err
     assert not enc.exists()
 
 

@@ -53,7 +53,7 @@ def test_column_split():
     p = SystemParams(n=10, u=2, k=7, dbar=2)
     assert j1_columns(p) == [1, 3, 5]
     rest = cell_layout(p).data[p.dbar * (p.dbar + 1) // 2 :] // p.dbar
-    assert sorted(set(rest.tolist())) == [0, 2, 4, 6]
+    assert rest.tolist() == [0, 0, 2, 2, 4, 4, 6, 6]
 
 
 def test_pack_zero_data_gives_zero_matrix():
@@ -106,6 +106,8 @@ def test_pack_validations():
         pack_message(p, [0] * (message_size(p) + 1))
     with pytest.raises(ParameterError):
         cell_layout(SystemParams(n=8, u=2, k=5, dbar=0))
+    with pytest.raises(ParameterError):
+        symmetric_block(p, [[0] * p.k] * (p.dbar + 1))
 
 
 # ---------------------------------------------------------------------------
