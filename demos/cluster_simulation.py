@@ -2,7 +2,7 @@
 
 The simulator places an encoded stripe on an nbar x u topology, kills a
 node, runs the repair flow (helpers compute only from their own storage),
-and logs every symbol that moves, split at the rack boundary.
+and counts every symbol that moves, split at the rack boundary.
 """
 
 import random
@@ -41,10 +41,6 @@ for build in (MsrrCode.build, MbrrCode.build):
     print(
         f"intra-rack: {log.intra_rack_symbols} symbols = (u-1)*alpha = {(p.u - 1) * point.alpha}"
     )
-    print("event trace:")
-    for event in log.events:
-        arrow = f"rack {event.src_rack} -> rack {event.dst_rack}"
-        print(f"  {event.kind:<5} {arrow}: {event.symbols} symbol(s)")
 
     # every policy must repair to the same content
     for policy in (

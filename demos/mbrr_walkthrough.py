@@ -1,4 +1,4 @@
-"""The array minimum-bandwidth code: packing, local polynomials, repair.
+"""The array minimum-bandwidth code: packing, storage, repair.
 
 Each node stores dbar symbols (the values of dbar message polynomials at
 its point).  Repair moves exactly one symbol out of each of dbar helper
@@ -7,9 +7,10 @@ racks -- as little cross-rack traffic as the failed node's storage.
 
 import random
 
-from rarc import MbrrCode, SystemParams, make_field, pack_message
-from rarc.linalg import poly_eval
-from rarc.mbrr import symmetric_block
+import numpy as np
+
+from rarc import Cluster, MbrrCode, RepairPolicy, SystemParams, make_field
+from rarc.mbrr import cell_layout
 
 rng = random.Random(11)
 
@@ -19,49 +20,39 @@ code = MbrrCode.build(p, field)
 print(f"{field}: B={code.B} data symbols, alpha={code.alpha} symbols per node")
 
 data = [rng.randrange(field.q) for _ in range(code.B)]
-M = pack_message(p, data)
+# the one message layout: cell (i, j) of M at j*dbar + i, the symmetric
+# block mirrored across its diagonal
+layout = cell_layout(p)
+cells = np.zeros(p.k * p.dbar, dtype=int)
+cells[layout.filled] = np.array(data)[layout.source]
+M = cells.reshape(p.k, p.dbar).T
 print(f"\ndata {data}")
 print("message matrix (rack-boundary columns hold a symmetric block, then zeros):")
 for i in range(p.dbar):
     print(f"  {M[i].tolist()}")
-print(f"symmetric block: {symmetric_block(p, M).tolist()}")
 
-C = code.encode(M)
-print(f"\nnode (0,1) stores column {code.node_column(C, 1)}")
+# One stripe is a one-column block through the code's generator: node c
+# stores the dbar rows of M evaluated at its point.
+cluster = Cluster(code).store(data)
+print(f"\nnode (0,1) stores {cluster.node_data((0, 1))}")
 
-# Inside rack e the stored values agree with dbar polynomials of degree
-# < u, so most of a column is locally explainable; only the top
-# coefficients carry cross-rack information.
-e = 3
-polys = code.local_polys(e, M)
-for g in range(p.u):
-    idx = p.node_index(e, g)
-    values = [poly_eval(field, polys[i].tolist(), code.lam[idx]) for i in range(p.dbar)]
-    assert values == code.node_column(C, idx)
-print(f"rack {e}: local polynomials reproduce both stored columns")
-print(f"rack {e}: leading coefficients {polys[:, -1].tolist()}")
-
-# Those leading vectors can be read straight off the stored columns, and
-# across racks they are the symmetric block times a Vandermonde matrix --
-# which is what makes one-symbol helper responses possible.
-stored = [code.node_column(C, p.node_index(e, g)) for g in range(p.u)]
-assert code.leading_vector_from_storage(e, stored) == polys[:, -1].tolist()
-assert code.mbr_codeword_check(M, C)
-print("leading-vector transport verified from storage alone")
-
-# Repair node (4, 0) with helper racks 1 and 2.
+# Inside a rack the stored values agree with dbar polynomials of degree
+# < u, whose leading coefficients are the symmetric block times the rack's
+# Vandermonde column.  So each helper rack applies one fixed row to its u
+# stored columns and ships one symbol, and the rebuild map takes the rack
+# mate's column plus those dbar symbols.
 failed = (4, 0)
-local = [(1, code.node_column(C, p.node_index(4, 1)))]
-helpers = []
-for h in (1, 2):
-    columns = [code.node_column(C, p.node_index(h, g)) for g in range(p.u)]
-    helpers.append((h, code.helper_response(h, failed[0], columns)))
-print(f"\nhelper responses (one symbol each): {helpers}")
-repaired = code.repair(failed, local, helpers)
-print(f"repaired column {repaired}")
-assert repaired == code.node_column(C, p.node_index(*failed))
+helper, rebuild = code.repair_maps(failed, [1, 2])
+print(f"\nhelper rows: {helper.shape[0]} racks x {helper.shape[1]} stored symbols each")
+print(f"rebuild map: {rebuild.shape[0]} x ({(p.u - 1) * p.dbar} local + {p.dbar} responses)")
+before = cluster.node_data(failed)
+cluster.fail_node(failed)
+log = cluster.run_repair(RepairPolicy.explicit([1, 2]))
+print(f"repaired column {cluster.node_data(failed)}")
+print(f"{log.cross_rack_symbols} symbols crossed racks, {log.intra_rack_symbols} stayed inside")
+assert cluster.node_data(failed) == before
 
 # Any k nodes reconstruct the data file.
-available = [(i, code.node_column(C, i)) for i in range(p.k)]
+available = [(i, cluster.node_data(i)) for i in range(p.k)]
 assert code.reconstruct(available) == data
 print(f"\nfirst {p.k} nodes reconstruct the data file exactly")

@@ -8,7 +8,7 @@ aggregate (the rack sum) from each of dbar helper racks.
 import itertools
 import random
 
-from rarc import MsrrCode, SystemParams, make_field
+from rarc import Cluster, MsrrCode, RepairPolicy, SystemParams, make_field
 
 rng = random.Random(7)
 
@@ -22,10 +22,11 @@ print(f"evaluation points (rack-major): {code.lam}")
 print(f"systematic layout: message at {code.info_set}, checks solved at {code.parity_set}")
 
 message = [rng.randrange(field.q) for _ in range(code.B)]
-codeword = code.encode(message)
+cluster = Cluster(code).store(message)
+codeword = [cluster.node_data(i)[0] for i in range(p.n)]
 print(f"\nmessage  {message}")
 print(f"codeword {codeword}  (position e*u+g belongs to node (e,g))")
-assert code.parity_ok(codeword)
+assert not field.np_matmul(code.checks, cluster.stripes).any()
 
 # Any k = 4 of the 6 nodes reconstruct the message.
 for subset in itertools.combinations(range(p.n), p.k):
@@ -36,19 +37,21 @@ print(f"all {len(list(itertools.combinations(range(p.n), p.k)))} four-node subse
 # single helper rack ships the sum of its two symbols -- one symbol over
 # the rack boundary instead of k.
 failed = (1, 0)
-local = [codeword[p.node_index(1, 1)]]
 for helper in (0, 2):
-    response = code.helper_response(helper, codeword[helper * p.u : (helper + 1) * p.u])
-    repaired = code.repair(failed, local, [(helper, response)])
-    print(f"helper rack {helper} sends {response}; repaired symbol = {repaired}")
+    cluster.fail_node(failed)
+    log = cluster.run_repair(RepairPolicy.explicit([helper]))
+    repaired = cluster.node_data(failed)[0]
+    print(f"helper rack {helper}: {log.cross_rack_symbols} symbol crossed; repaired {repaired}")
     assert repaired == codeword[p.node_index(*failed)]
 
 # With no helper racks at all (dbar=0) every rack sums to zero, so repair
 # is purely local -- and the code is a locally repairable one.
 p0 = SystemParams(n=6, u=3, k=4, dbar=0)
 code0 = MsrrCode.build(p0, make_field(6, 3, "prime"))
-cw0 = code0.encode([rng.randrange(7) for _ in range(code0.B)])
-got = code0.repair_local((0, 2), [cw0[0], cw0[1]])
-print(f"\ndbar=0 local repair: {got} (expected {cw0[2]})")
-assert got == cw0[2]
-print(f"its minimum distance by enumeration: {code0.minimum_distance()} = n - k + 1")
+cluster0 = Cluster(code0).store([rng.randrange(7) for _ in range(code0.B)])
+expected = cluster0.node_data((0, 2))
+cluster0.fail_node((0, 2))
+log0 = cluster0.run_repair(RepairPolicy.lowest_index())
+print(f"\ndbar=0 local repair: {cluster0.node_data((0, 2))} (expected {expected})")
+print(f"cross-rack symbols: {log0.cross_rack_symbols}")
+assert cluster0.node_data((0, 2)) == expected

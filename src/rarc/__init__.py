@@ -20,7 +20,7 @@ from .field import (
     multiplicative_order,
 )
 from .linalg import lagrange_leading_weights
-from .mbrr import MbrrCode, message_size, pack_message, unpack_message
+from .mbrr import MbrrCode, message_size
 from .msrr import MsrrCode
 from .params import (
     MBRR,
@@ -64,9 +64,7 @@ __all__ = [
     "msrr_point",
     "multiplicative_order",
     "overhead_pair",
-    "pack_message",
     "sweep_table",
-    "unpack_message",
     "MBRR",
     "MSRR",
     "__version__",

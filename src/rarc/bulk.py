@@ -6,8 +6,9 @@ and applies its generator and reconstruct maps itself
 (``encode_stripes``, ``reconstruct_stripes``).  This module keeps built
 codes, and with them their generators, for the life of the process, and
 holds the one code that applies a code's ``repair_maps`` to stored rows:
-``repair_stripes``, behind both ``rarc repair`` and ``sim.Cluster``.
-Stripe matrices hold one stripe per column.
+``repair_stripes``, which ``sim.Cluster.run_repair`` calls for the
+simulator and ``rarc repair`` alike.  Stripe matrices hold one stripe per
+column.
 """
 
 from __future__ import annotations

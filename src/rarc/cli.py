@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .params import (
     msrr_point,
     overhead_pair,
 )
-from .sim import RepairPolicy, sweep_table
+from .sim import Cluster, RepairPolicy, sweep_table
 
 #: Published overhead pairs for the u=5, n-k=6 sweep, as printed in the
 #: source tables this tool reproduces: (nbar, dbar, code) -> (storage, bandwidth).
@@ -112,6 +113,10 @@ def _parse_policy(text: str, seed: int | None, nbar: int) -> RepairPolicy:
     return RepairPolicy.explicit(_parse_int_list(text, nbar, "helper rack"))
 
 
+def _write_record(kind: str, fields: dict) -> None:
+    sys.stdout.write(render_records([(kind, fields)]))
+
+
 def _system_params(args) -> SystemParams:
     return SystemParams(n=args.n, u=args.u, k=args.k, dbar=args.d)
 
@@ -172,24 +177,18 @@ def cmd_encode(args) -> int:
     payload = Path(args.input).read_bytes()
     ef = _encoded_from_payload(args, payload)
     Path(args.output).write_bytes(serialize_encoded(ef))
-    sys.stdout.write(
-        render_records(
-            [
-                (
-                    "encoded",
-                    {
-                        "code": ef.code_type,
-                        "n": ef.params.n,
-                        "u": ef.params.u,
-                        "k": ef.params.k,
-                        "dbar": ef.params.dbar,
-                        "field": ef.field.kind,
-                        "stripes": ef.stripes,
-                        "payload_bytes": ef.payload_len,
-                    },
-                )
-            ]
-        )
+    _write_record(
+        "encoded",
+        {
+            "code": ef.code_type,
+            "n": ef.params.n,
+            "u": ef.params.u,
+            "k": ef.params.k,
+            "dbar": ef.params.dbar,
+            "field": ef.field.kind,
+            "stripes": ef.stripes,
+            "payload_bytes": ef.payload_len,
+        },
     )
     return 0
 
@@ -201,44 +200,30 @@ def _load_encoded(path: str) -> EncodedFile:
 def cmd_repair(args) -> int:
     ef = _load_encoded(args.encoded)
     p = ef.params
-    code = bulk.build_code(ef.code_type, p, ef.field)
-    e_star, g_star = _parse_node(args.failed)
-    idx = p.node_index(e_star, g_star)
-    helper_racks = _parse_policy(args.policy, args.seed, p.nbar).select(e_star, p.nbar, p.dbar)
+    failed = _parse_node(args.failed)
+    idx = p.node_index(*failed)
+    policy = _parse_policy(args.policy, args.seed, p.nbar)
     body = ef.body.copy()
-    body_t = body.T
-    alpha = ef.alpha
-    repaired, local, responses = bulk.repair_stripes(code, (e_star, g_star), helper_racks, body_t)
-    original = body_t[idx * alpha : (idx + 1) * alpha, :]
-    if not np.array_equal(repaired, original):
-        raise VerificationError(f"repaired node ({e_star},{g_star}) differs from stored data")
-    body_t[idx * alpha : (idx + 1) * alpha, :] = repaired
-    out = EncodedFile(
-        code_type=ef.code_type,
-        params=p,
-        field=ef.field,
-        body=body,
-        payload_len=ef.payload_len,
-    )
-    Path(args.output).write_bytes(serialize_encoded(out))
-    sys.stdout.write(
-        render_records(
-            [
-                (
-                    "traffic",
-                    {
-                        "failed": f"{e_star},{g_star}",
-                        "stripes": ef.stripes,
-                        "helpers": ",".join(str(h) for h in helper_racks) or "none",
-                        "cross_rack_symbols": responses.size,
-                        "intra_rack_symbols": local.size,
-                        "cross_per_stripe": responses.shape[0],
-                        "intra_per_stripe": local.shape[0],
-                        "verified": "yes",
-                    },
-                )
-            ]
-        )
+    cluster = Cluster(bulk.build_code(ef.code_type, p, ef.field), body.T)
+    stored = body[:, idx * ef.alpha : (idx + 1) * ef.alpha]
+    original = stored.copy()
+    cluster.fail_node(failed)
+    log = cluster.run_repair(policy)
+    if not np.array_equal(stored, original):
+        raise VerificationError(f"repaired node ({failed[0]},{failed[1]}) differs from stored data")
+    Path(args.output).write_bytes(serialize_encoded(replace(ef, body=body)))
+    _write_record(
+        "traffic",
+        {
+            "failed": f"{failed[0]},{failed[1]}",
+            "stripes": log.stripes,
+            "helpers": ",".join(str(h) for h in log.helper_racks) or "none",
+            "cross_rack_symbols": log.cross_rack_symbols,
+            "intra_rack_symbols": log.intra_rack_symbols,
+            "cross_per_stripe": log.cross_per_stripe,
+            "intra_per_stripe": log.intra_per_stripe,
+            "verified": "yes",
+        },
     )
     return 0
 
@@ -254,11 +239,7 @@ def cmd_reconstruct(args) -> int:
     data = code.reconstruct_stripes(nodes, rows)
     payload = symbols_to_payload(field, data.T.reshape(-1), ef.payload_len)
     Path(args.output).write_bytes(payload)
-    sys.stdout.write(
-        render_records(
-            [("reconstructed", {"nodes": len(nodes), "payload_bytes": len(payload)})]
-        )
-    )
+    _write_record("reconstructed", {"nodes": len(nodes), "payload_bytes": len(payload)})
     return 0
 
 

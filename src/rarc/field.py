@@ -18,6 +18,7 @@ given cluster shape.
 from __future__ import annotations
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,6 +30,13 @@ GF256_MODULUS = 0x11D
 #: Largest prime-field size: symbols are stored as uint16, and the
 #: encoded-file header keeps the modulus in 16 bits.
 _PRIME_LIMIT = 1 << 16
+
+#: Most work one code build may take, checked on the parameters before
+#: anything is allocated: |T|^2 * n + n * B steps for the minimum-storage
+#: row reduction and generator, n * k + n * dbar * B cells for the
+#: minimum-bandwidth powers and generator.  File headers reach n = 65535,
+#: where the unchecked builds run for hours or exhaust memory.
+_BUILD_BUDGET = 1 << 22
 
 #: Outputs per pass of the prime-field matmul: 512 KiB of float64.  At
 #: 2 MiB the temporaries came from freshly faulted pages or from reused
@@ -202,17 +210,7 @@ class Gf256Field(FieldSpec):
     def __init__(self, u: int):
         # Locate the smallest primitive element with raw carry-less
         # multiplication, then base the log/exp tables on it.
-        base = 0
-        for g in range(2, 256):
-            x, m = g, 1
-            while x != 1:
-                x = _gf2_mul(x, g)
-                m += 1
-            if m == 255:
-                base = g
-                break
-        if base == 0:
-            raise ParameterError("no primitive element in GF(256); modulus is not primitive")
+        base = find_primitive(SimpleNamespace(q=256, mul=_gf2_mul))
         exp = [0] * 510
         log = [0] * 256
         x = 1

@@ -46,14 +46,6 @@ def row_reduce(F, A) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
-def poly_eval(F, coeffs: Sequence[int], x: int) -> int:
-    """Evaluate a lowest-degree-first coefficient list at x (Horner)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def _check_points(points: Sequence[int]) -> None:
     if len(set(points)) != len(points):
         raise SingularSystemError("duplicate interpolation points")

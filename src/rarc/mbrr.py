@@ -14,18 +14,16 @@ rack hand the failed rack one inner product of its own leading vector;
 dbar such responses pin down h_{e*}, after which each per-rack polynomial
 is re-interpolated from the u - 1 surviving columns plus its now-known
 leading coefficient.  ``MbrrCode.repair_maps`` writes that repair as two
-fixed arrays, which ``bulk.repair_stripes`` applies to stored rows for
-``sim.Cluster`` and ``rarc repair``; the scalar ``helper_response`` and
-``repair`` apply them to one column of given symbols.
+fixed arrays, which ``bulk.repair_stripes`` applies to the stored rows of
+a ``sim.Cluster``.
 
 ``cell_layout`` is the one description of where the data symbols sit in
-M; packing, unpacking, the generator and the reconstruct structure checks
-all index through it.  Encoding applies one generator, that layout
-composed with M -> M * Lambda, and reconstruction the inverse of the
-Vandermonde matrix on k given points, to a block of stripe columns; the
-scalar ``encode``, ``reconstruct`` and ``Cluster.store`` pass single
-columns through the same code.  The scalar API carries M and the
-dbar x n code matrix C = M * Lambda as arrays of field symbols.
+M; the generator and the reconstruct structure checks index through it.
+Encoding applies one generator, that layout composed with
+M -> M * Lambda, and reconstruction the inverse of the Vandermonde
+matrix on k given points, to a block of stripe columns; a single stripe
+is a one-column block, whose rows are the columns of the dbar x n code
+matrix C = M * Lambda, node by node.
 """
 
 from __future__ import annotations
@@ -37,9 +35,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError, VerificationError
-from .field import FieldSpec, eval_points
+from .field import _BUILD_BUDGET, FieldSpec, eval_points
 from .linalg import lagrange_eval_weights, lagrange_leading_weights, vandermonde_inverse
-from .params import SystemParams, check_helper_racks, check_node_set, mbrr_point
+from .params import SystemParams, check_helper_racks, check_node_set
 
 #: Message layouts kept per process, one per SystemParams.
 _LAYOUT_CACHE_SIZE = 16
@@ -105,34 +103,6 @@ def cell_layout(p: SystemParams) -> CellLayout:
     return CellLayout(*arrays)
 
 
-def pack_message(p: SystemParams, data: Sequence[int]) -> np.ndarray:
-    """Arrange B data symbols into the structured dbar x k message matrix."""
-    data = np.asarray(data)
-    B = message_size(p)
-    if data.shape != (B,):
-        raise ParameterError(f"data must have {B} symbols, got {data.size}")
-    layout = cell_layout(p)
-    cells = np.zeros(p.k * p.dbar, dtype=data.dtype)
-    cells[layout.filled] = data[layout.source]
-    return cells.reshape(p.k, p.dbar).T
-
-
-def unpack_message(p: SystemParams, M) -> list[int]:
-    """Inverse of ``pack_message``; does not validate structure."""
-    M = np.asarray(M)
-    if M.shape != (p.dbar, p.k):
-        raise ParameterError(f"message matrix must be {p.dbar}x{p.k}")
-    return M.T.ravel()[cell_layout(p).data].tolist()
-
-
-def symmetric_block(p: SystemParams, M) -> np.ndarray:
-    """The dbar x dbar block S sitting in the first dbar boundary columns."""
-    M = np.asarray(M)
-    if M.shape != (p.dbar, p.k):
-        raise ParameterError(f"message matrix must be {p.dbar}x{p.k}")
-    return M.T.ravel()[cell_layout(p).block]
-
-
 class MbrrCode:
     """A built array-code instance; immutable after ``build``."""
 
@@ -172,6 +142,12 @@ class MbrrCode:
             raise ParameterError(f"field rack size {field.u} != system rack size {params.u}")
         if field.q <= params.n:
             raise ParameterError(f"field size {field.q} must exceed node count {params.n}")
+        # the n x k powers of the points, then the (n*dbar) x B generator
+        cost = params.n * (params.k + params.dbar * message_size(params))
+        if cost > _BUILD_BUDGET:
+            raise ParameterError(
+                f"the code's fixed maps cost {cost} to build, over {_BUILD_BUDGET}"
+            )
         return cls(params, field, eval_points(field, params.nbar))
 
     @property
@@ -181,10 +157,6 @@ class MbrrCode:
     @property
     def alpha(self) -> int:
         return self.params.dbar
-
-    @property
-    def beta(self) -> int:
-        return mbrr_point(self.params).beta
 
     # -- fixed maps ------------------------------------------------------------
 
@@ -219,58 +191,6 @@ class MbrrCode:
         if data.shape[0] != self.B:
             raise ParameterError(f"data block must have {self.B} rows")
         return self.field.np_matmul(self.generator, data)
-
-    def _message(self, M) -> np.ndarray:
-        """M as a validated dbar x k array of symbols."""
-        p = self.params
-        M = self.field.symbol_array(M)
-        if M.shape != (p.dbar, p.k):
-            raise ParameterError(f"message matrix must be {p.dbar}x{p.k}")
-        return M
-
-    def encode(self, M) -> np.ndarray:
-        """Code matrix C = M * Lambda, dbar x n; node (e, g) stores column (e*u + g)."""
-        stored = self.field.np_matmul(self.powers, self._message(M).T)  # row c: node c's column
-        return stored.T
-
-    def node_column(self, C, index: int) -> list[int]:
-        self.params.node_pair(index)  # bounds check
-        return np.asarray(C)[:, index].tolist()
-
-    # -- the rack-local polynomial family --------------------------------------
-
-    def local_polys(self, e: int, M) -> np.ndarray:
-        """Degree-<= u-1 polynomials matching the global rows on rack e, as a
-        dbar x u array: entry (i, j) is the x^j coefficient of the i-th
-        polynomial, so the last column is the leading vector.
-
-        Coefficient j collects the message columns t*u + j, scaled by
-        (xi**(e*u))**t: M, zero-padded to (kbar + 1)*u columns, is regrouped
-        into one row per (i, j) and multiplied by the powers of the rack
-        point.
-        """
-        p = self.params
-        if not 0 <= e < p.nbar:
-            raise ParameterError(f"rack {e} out of range")
-        F = self.field
-        padded = np.zeros((p.dbar, (p.kbar + 1) * p.u), dtype=F.np_dtype)
-        padded[:, : p.k] = self._message(M)
-        grouped = padded.reshape(p.dbar, p.kbar + 1, p.u).transpose(0, 2, 1)
-        x = self.rack_points[e]
-        powers = F.symbol_array([[F.pow(x, t)] for t in range(p.kbar + 1)])
-        coeffs = F.np_matmul(grouped.reshape(p.dbar * p.u, p.kbar + 1), powers)
-        return coeffs.reshape(p.dbar, p.u)
-
-    def leading_vector_from_storage(self, e: int, columns: Sequence[Sequence[int]]) -> list[int]:
-        """Leading coefficients of the rack-local polynomials, computed from
-        the u stored columns alone (no message access)."""
-        p = self.params
-        if not 0 <= e < p.nbar:
-            raise ParameterError(f"rack {e} out of range")
-        if len(columns) != p.u or any(len(col) != p.dbar for col in columns):
-            raise ParameterError(f"rack {e} must supply all {p.u} columns of {p.dbar} symbols")
-        block = self.field.symbol_array(columns)  # (u x dbar)
-        return self.field.np_matmul(self.leading_weights[e : e + 1], block)[0].tolist()
 
     # -- repair ----------------------------------------------------------------
 
@@ -326,46 +246,6 @@ class MbrrCode:
         rebuild = np.concatenate([local, responses], axis=1)
         return self._helper_rows(helper_racks, e_star), rebuild
 
-    def helper_response(
-        self, helper: int, failed_rack: int, columns: Sequence[Sequence[int]]
-    ) -> int:
-        """One symbol from a helper rack: the inner product of the failed
-        rack's Vandermonde row with the helper's leading vector."""
-        p = self.params
-        check_helper_racks(failed_rack, [helper], p.nbar, 1)
-        if len(columns) != p.u or any(len(col) != p.dbar for col in columns):
-            raise ParameterError(f"rack {helper} must supply all {p.u} columns of {p.dbar} symbols")
-        column = self.field.symbol_array(columns).reshape(-1, 1)
-        row = self._helper_rows([helper], failed_rack)
-        return int(self.field.np_matmul(row, column)[0, 0])
-
-    def repair(
-        self,
-        failed: tuple[int, int],
-        local: Sequence[tuple[int, Sequence[int]]],
-        helpers: Iterable[tuple[int, int]],
-    ) -> list[int]:
-        """Restore the failed node's column from u - 1 (slot, column) pairs of
-        its own rack plus dbar (helper rack, response) pairs, through
-        ``repair_maps``."""
-        p = self.params
-        helpers = list(helpers)
-        _, rebuild = self.repair_maps(failed, [e for e, _ in helpers])
-        cols: dict[int, Sequence[int]] = {}
-        for g, col in local:
-            if g == failed[1] or not 0 <= g < p.u:
-                raise ParameterError(f"invalid local slot {g}")
-            if g in cols:
-                raise ParameterError(f"duplicate local slot {g}")
-            if len(col) != p.dbar:
-                raise ParameterError("stored columns carry dbar symbols")
-            cols[g] = col
-        if len(cols) != p.u - 1:
-            raise ParameterError(f"need the other {p.u - 1} columns of rack {failed[0]}")
-        symbols = [sym for g in sorted(cols) for sym in cols[g]] + [s for _, s in helpers]
-        column = self.field.symbol_array(symbols).reshape(-1, 1)
-        return self.field.np_matmul(rebuild, column)[:, 0].tolist()
-
     # -- reconstruction --------------------------------------------------------
 
     def reconstruct_stripes(self, nodes: Sequence[int], symbols: np.ndarray) -> np.ndarray:
@@ -419,23 +299,3 @@ class MbrrCode:
             symbols.extend(col)
         column = self.field.symbol_array(symbols).reshape(len(symbols), 1)
         return self.reconstruct_stripes(nodes, column)[:, 0].tolist()
-
-    # -- structural check surface -------------------------------------------------
-
-    def mbr_codeword_check(self, M, C) -> bool:
-        """True iff the leading vectors recovered from the stored columns
-        equal S times the Vandermonde matrix on the rack points -- i.e. the
-        cross-rack storage really carries the block S.  Perturbing any
-        stored symbol breaks the identity."""
-        p = self.params
-        F = self.field
-        C = F.symbol_array(C)
-        if C.shape != (p.dbar, p.n):
-            raise ParameterError(f"code matrix must be {p.dbar}x{p.n}")
-        S = symmetric_block(p, self._message(M))
-        expected = F.np_matmul(S, self.rack_powers.T)  # (dbar x nbar)
-        leading = [
-            self.leading_vector_from_storage(e, C[:, e * p.u : (e + 1) * p.u].T.tolist())
-            for e in range(p.nbar)
-        ]
-        return expected.T.tolist() == leading

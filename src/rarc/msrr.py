@@ -12,15 +12,13 @@ symbol sums to lie in a dimension-dbar MDS code over the points
 ``xi**(e*u)``, so one aggregate symbol from each of any dbar helper racks
 pins down the failed rack's sum, and the missing symbol follows from the
 u - 1 local symbols.  ``MsrrCode.repair_maps`` writes that repair as two
-fixed arrays, which ``bulk.repair_stripes`` applies to stored rows for
-``sim.Cluster`` and ``rarc repair``; the scalar ``helper_response``,
-``repair`` and ``repair_local`` apply them to one column of given symbols.
+fixed arrays, which ``bulk.repair_stripes`` applies to the stored rows
+of a ``sim.Cluster``.
 
 ``build`` takes the parity set and the systematic generator from one row
 reduction of the check matrix.  Encoding applies the generator, and
 reconstruction a map built from one Vandermonde inverse, to a block of
-stripe columns; the scalar ``encode``, ``reconstruct`` and ``parity_ok``
-pass a single column through the same code.
+stripe columns; a single stripe is a one-column block.
 """
 
 from __future__ import annotations
@@ -31,18 +29,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError, SingularSystemError, VerificationError
-from .field import FieldSpec, eval_points
+from .field import _BUILD_BUDGET, FieldSpec, eval_points
 from .linalg import (
     lagrange_eval_weights,
     lagrange_leading_weights,
     row_reduce,
     vandermonde_inverse,
 )
-from .params import SystemParams, check_helper_racks, check_node_set, msrr_point
-
-#: Enumeration guard for brute-force distance scans.
-MAX_ENUMERATION = 1 << 20
-
+from .params import SystemParams, check_helper_racks, check_node_set
 
 def check_exponents(p: SystemParams) -> list[int]:
     """The sorted check-exponent set T; |T| = n - k + kbar - dbar."""
@@ -98,6 +92,13 @@ class MsrrCode:
         if field.q <= params.n:
             raise ParameterError(f"field size {field.q} must exceed node count {params.n}")
         n = params.n
+        # the row reduction of the |T| x n check matrix, then the n x B generator
+        t_size = n - params.k + params.kbar - params.dbar
+        cost = t_size * t_size * n + n * (n - t_size)
+        if cost > _BUILD_BUDGET:
+            raise ParameterError(
+                f"the code's fixed maps cost {cost} to build, over {_BUILD_BUDGET}"
+            )
         T = check_exponents(params)
         lam = eval_points(field, params.nbar)
         checks = np.array([[field.pow(x, t) for x in lam] for t in T], dtype=field.np_dtype)
@@ -125,10 +126,6 @@ class MsrrCode:
     def alpha(self) -> int:
         return 1
 
-    @property
-    def beta(self) -> int:
-        return msrr_point(self.params).beta
-
     # -- encoding ------------------------------------------------------------
 
     def encode_stripes(self, data: np.ndarray) -> np.ndarray:
@@ -136,21 +133,6 @@ class MsrrCode:
         if data.shape[0] != self.B:
             raise ParameterError(f"message block must have {self.B} rows")
         return self.field.np_matmul(self.generator, data)
-
-    def encode(self, message: Sequence[int]) -> list[int]:
-        """Systematic codeword: message symbols sit verbatim at the
-        information positions, parity positions satisfy the checks."""
-        if len(message) != self.B:
-            raise ParameterError(f"message must have {self.B} symbols, got {len(message)}")
-        column = self.field.symbol_array(message).reshape(self.B, 1)
-        return self.encode_stripes(column)[:, 0].tolist()
-
-    def parity_ok(self, codeword: Sequence[int]) -> bool:
-        """True iff the n symbols satisfy every check, as one column."""
-        if len(codeword) != self.params.n:
-            raise ParameterError(f"codeword must have {self.params.n} symbols")
-        column = self.field.symbol_array(codeword).reshape(-1, 1)
-        return not self.field.np_matmul(self.checks, column).any()
 
     # -- reconstruction --------------------------------------------------------
 
@@ -186,12 +168,9 @@ class MsrrCode:
         """Recover the message from any k (node index, symbol) pairs, as one
         column through ``reconstruct_stripes``; corrupted inputs surface as
         a failed parity check."""
-        nodes, syms = [], []
-        for idx, sym in available:
-            nodes.append(idx)
-            syms.append(sym)
-        column = self.field.symbol_array(syms).reshape(len(syms), 1)
-        return self.reconstruct_stripes(nodes, column)[:, 0].tolist()
+        available = list(available)
+        column = self.field.symbol_array([sym for _, sym in available]).reshape(-1, 1)
+        return self.reconstruct_stripes([idx for idx, _ in available], column)[:, 0].tolist()
 
     # -- repair ----------------------------------------------------------------
 
@@ -222,60 +201,3 @@ class MsrrCode:
         helper = np.ones((p.dbar, p.u), dtype=F.np_dtype)
         rebuild = np.array([[F.neg(1)] * (p.u - 1) + gammas], dtype=F.np_dtype)
         return helper, rebuild
-
-    def helper_response(self, rack: int, symbols: Sequence[int]) -> int:
-        """A helper rack's single-symbol aggregate: the sum of its u symbols."""
-        if not 0 <= rack < self.params.nbar:
-            raise ParameterError(f"rack {rack} out of range")
-        if len(symbols) != self.params.u:
-            raise ParameterError(f"rack {rack} must supply all {self.params.u} symbols")
-        column = self.field.symbol_array(symbols).reshape(-1, 1)
-        rack_sum = np.ones((1, self.params.u), dtype=self.field.np_dtype)
-        return int(self.field.np_matmul(rack_sum, column)[0, 0])
-
-    def repair(
-        self,
-        failed: tuple[int, int],
-        local: Sequence[int],
-        helpers: Iterable[tuple[int, int]],
-    ) -> int:
-        """Restore symbol (e*, g*) from u - 1 local symbols and dbar
-        (helper rack, aggregate) pairs, through ``repair_maps``."""
-        if self.params.dbar < 1:
-            raise ParameterError("no helper racks at dbar=0; use repair_local")
-        helpers = list(helpers)
-        _, rebuild = self.repair_maps(failed, [e for e, _ in helpers])
-        return self._rebuild(rebuild, failed, local, [s for _, s in helpers])
-
-    def repair_local(self, failed: tuple[int, int], local: Sequence[int]) -> int:
-        """dbar = 0 repair: every rack sums to zero, so the missing symbol is
-        the negated sum of the other u - 1."""
-        if self.params.dbar != 0:
-            raise ParameterError("repair_local applies only at dbar=0")
-        _, rebuild = self.repair_maps(failed, [])
-        return self._rebuild(rebuild, failed, local, [])
-
-    def _rebuild(
-        self, rebuild: np.ndarray, failed, local: Sequence[int], responses: list[int]
-    ) -> int:
-        if len(local) != self.params.u - 1:
-            raise ParameterError(f"need the other {self.params.u - 1} symbols of rack {failed[0]}")
-        column = self.field.symbol_array(list(local) + responses).reshape(-1, 1)
-        return int(self.field.np_matmul(rebuild, column)[0, 0])
-
-    # -- analysis ---------------------------------------------------------------
-
-    def minimum_distance(self) -> int:
-        """Minimum Hamming weight over all nonzero codewords, by enumeration.
-
-        Guarded to test-scale instances (q**B <= 2**20 codewords).
-        """
-        q = self.field.q
-        if q**self.B > MAX_ENUMERATION:
-            raise ParameterError(
-                f"{q}**{self.B} codewords exceed the enumeration guard {MAX_ENUMERATION}"
-            )
-        # every message as one column, the zero message first
-        messages = np.indices((q,) * self.B).reshape(self.B, -1)[:, 1:]
-        codewords = self.encode_stripes(messages.astype(self.field.np_dtype))
-        return int(np.count_nonzero(codewords, axis=0).min())

@@ -6,9 +6,10 @@ import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .field import make_field, multiplicative_order
-from .linalg import poly_eval
-from .mbrr import MbrrCode, pack_message, symmetric_block
+from .mbrr import MbrrCode
 from .msrr import MsrrCode
 from .params import SystemParams, cutset_bound, mbrr_point, mincut_profile, msrr_point
 from .sim import Cluster, RepairPolicy
@@ -66,65 +67,43 @@ def _bound_consistency(_seed: int) -> SuiteResult:
     return SuiteResult("bound-consistency", True, "tradeoff points and profiles agree")
 
 
-def _msrr_small(seed: int) -> SuiteResult:
-    rng = random.Random(seed)
-    p = SystemParams(n=6, u=2, k=4, dbar=1)
-    field = make_field(6, 2, "prime")
-    code = MsrrCode.build(p, field)
-    for _ in range(20):
-        message = [rng.randrange(field.q) for _ in range(code.B)]
-        codeword = code.encode(message)
-        if not code.parity_ok(codeword):
-            return SuiteResult("msrr-small", False, "parity checks fail after encode")
+def _code_small(name: str, cls, point, n: int, u: int, k: int, dbar: int):
+    """Every k-subset reconstructs 20 random stripes, and a ``Cluster``
+    holding them repairs every node with dbar * beta cross-rack symbols
+    per stripe."""
+
+    def suite(seed: int) -> SuiteResult:
+        rng = random.Random(seed)
+        p = SystemParams(n=n, u=u, k=k, dbar=dbar)
+        field = make_field(n, u, "prime")
+        code = cls.build(p, field)
+        values = [rng.randrange(field.q) for _ in range(code.B * 20)]
+        data = field.symbol_array(values).reshape(code.B, 20)
+        body = code.encode_stripes(data)
+        a = code.alpha
         for subset in itertools.combinations(range(p.n), p.k):
-            if code.reconstruct([(i, codeword[i]) for i in subset]) != message:
-                return SuiteResult("msrr-small", False, f"reconstruction fails on {subset}")
+            rows = body[[i * a + r for i in subset for r in range(a)]]
+            if not np.array_equal(code.reconstruct_stripes(list(subset), rows), data):
+                return SuiteResult(name, False, f"reconstruction fails on {subset}")
         for idx in range(p.n):
-            e_star, g_star = p.node_pair(idx)
-            cluster = Cluster(code).store(message)
-            cluster.fail_node((e_star, g_star))
+            cluster = Cluster(code, body.copy())
+            cluster.fail_node(p.node_pair(idx))
             log = cluster.run_repair(RepairPolicy.lowest_index())
-            if cluster.node_data(idx) != [codeword[idx]]:
-                return SuiteResult("msrr-small", False, f"repair of node {idx} is wrong")
-            if log.cross_rack_symbols != p.dbar:
-                return SuiteResult("msrr-small", False, "cross-rack traffic off")
-    return SuiteResult("msrr-small", True, "exhaustive reconstruction and repair hold")
+            if not np.array_equal(cluster.stripes, body):
+                return SuiteResult(name, False, f"repair of node {idx} is wrong")
+            if log.cross_rack_symbols != p.dbar * point(p).beta * data.shape[1]:
+                return SuiteResult(name, False, "cross-rack traffic off")
+        return SuiteResult(name, True, "exhaustive reconstruction and repair hold")
+
+    return suite
 
 
-def _mbrr_identities(seed: int) -> SuiteResult:
-    rng = random.Random(seed)
-    p = SystemParams(n=8, u=2, k=5, dbar=1)
-    field = make_field(8, 2, "prime")
-    code = MbrrCode.build(p, field)
-    for _ in range(20):
-        data = [rng.randrange(field.q) for _ in range(code.B)]
-        M = pack_message(p, data)
-        C = code.encode(M)
-        for e in range(p.nbar):
-            polys = code.local_polys(e, M)
-            for g in range(p.u):
-                idx = p.node_index(e, g)
-                for i in range(p.dbar):
-                    if poly_eval(field, polys[i].tolist(), code.lam[idx]) != C[i, idx]:
-                        return SuiteResult(
-                            "mbrr-identities", False, f"local family misses node ({e},{g})"
-                        )
-            stored = [code.node_column(C, p.node_index(e, g)) for g in range(p.u)]
-            if code.leading_vector_from_storage(e, stored) != polys[:, -1].tolist():
-                return SuiteResult("mbrr-identities", False, f"leading vector off at rack {e}")
-        if not code.mbr_codeword_check(M, C):
-            return SuiteResult("mbrr-identities", False, "leading-vector transport broken")
-        S = symmetric_block(p, M)
-        if S[0, 0] != M[0, p.u - 1]:
-            return SuiteResult("mbrr-identities", False, "symmetric block extraction off")
-        if code.reconstruct(
-            [(idx, code.node_column(C, idx)) for idx in range(p.k)]
-        ) != data:
-            return SuiteResult("mbrr-identities", False, "reconstruction fails")
-    return SuiteResult("mbrr-identities", True, "local family and transport identities hold")
-
-
-_SUITES = (_field_axioms, _bound_consistency, _msrr_small, _mbrr_identities)
+_SUITES = (
+    _field_axioms,
+    _bound_consistency,
+    _code_small("msrr-small", MsrrCode, msrr_point, 6, 2, 4, 1),
+    _code_small("mbrr-small", MbrrCode, mbrr_point, 8, 2, 5, 1),
+)
 
 
 def run_all(seed: int = 0) -> list[SuiteResult]:

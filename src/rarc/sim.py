@@ -1,10 +1,11 @@
-"""Cluster simulation: place a codeword on a rack topology, inject a
+"""Cluster simulation: place stripes on a rack topology, inject a
 single-node failure, run the repair flow, and meter traffic.
 
-Traffic is counted in field symbols, split at the rack boundary: helper
-racks compute their responses from their own stored symbols only, and
-every cross-rack transfer appears in the event trace.  The counts on a
-``TrafficLog`` are derived from the trace, not asserted alongside it.
+``Cluster.run_repair`` is the one repair engine, behind ``rarc repair``
+too.  Traffic is counted in field symbols, split at the rack boundary:
+helper racks compute their responses from their own stored symbols only,
+and the counts on a ``TrafficLog`` are the sizes of the arrays
+``bulk.repair_stripes`` moved, not a formula asserted alongside them.
 """
 
 from __future__ import annotations
@@ -32,40 +33,28 @@ from .params import (
 
 
 @dataclass(frozen=True)
-class TrafficEvent:
-    kind: str  # "cross" or "intra"
-    src_rack: int
-    dst_rack: int
-    symbols: int
-
-
 class TrafficLog:
-    """Per-repair accounting; totals are computed from the event trace."""
+    """What one repair moved: per stripe, ``cross_per_stripe`` response
+    symbols from ``helper_racks`` into the failed node's rack and
+    ``intra_per_stripe`` symbols from the failed node's rack mates."""
 
-    def __init__(self):
-        self.events: list[TrafficEvent] = []
-
-    def record_cross(self, src_rack: int, dst_rack: int, symbols: int) -> None:
-        self.events.append(TrafficEvent("cross", src_rack, dst_rack, symbols))
-
-    def record_intra(self, rack: int, symbols: int) -> None:
-        self.events.append(TrafficEvent("intra", rack, rack, symbols))
+    failed: tuple[int, int]
+    helper_racks: tuple[int, ...]
+    stripes: int
+    cross_per_stripe: int
+    intra_per_stripe: int
 
     @property
     def cross_rack_symbols(self) -> int:
-        return sum(e.symbols for e in self.events if e.kind == "cross")
+        return self.cross_per_stripe * self.stripes
 
     @property
     def intra_rack_symbols(self) -> int:
-        return sum(e.symbols for e in self.events if e.kind == "intra")
+        return self.intra_per_stripe * self.stripes
 
     @property
     def helper_racks_used(self) -> list[int]:
-        seen: list[int] = []
-        for e in self.events:
-            if e.kind == "cross" and e.src_rack not in seen:
-                seen.append(e.src_rack)
-        return seen
+        return list(self.helper_racks)
 
 
 @dataclass(frozen=True)
@@ -102,17 +91,21 @@ class RepairPolicy:
 
 
 class Cluster:
-    """An nbar x u topology holding one stripe of an MSRR or MBRR code, as
-    one (n*alpha x 1) column: node c holds rows c*alpha ... c*alpha + alpha - 1.
+    """An nbar x u topology holding stripes of an MSRR or MBRR code as one
+    (n*alpha x stripes) matrix, one stripe per column: node c holds rows
+    c*alpha ... c*alpha + alpha - 1.  A matrix passed in is held, not
+    copied, so failures and repairs write into it.
 
     Mutating operations (store / fail_node / run_repair) are single-writer;
     read-only inspection may happen concurrently.
     """
 
-    def __init__(self, code: MsrrCode | MbrrCode):
+    def __init__(self, code: MsrrCode | MbrrCode, stripes: np.ndarray | None = None):
         self.code = code
         self.params = code.params
-        self.stripe: np.ndarray | None = None
+        if stripes is not None and stripes.shape[0] != self.params.n * code.alpha:
+            raise ParameterError(f"a stripe matrix has {self.params.n * code.alpha} rows")
+        self.stripes = stripes
         self.failed: tuple[int, int] | None = None
 
     def store(self, data: Sequence[int]) -> "Cluster":
@@ -121,51 +114,47 @@ class Cluster:
         code = self.code
         if self.failed is not None:
             raise ParameterError("repair the pending failure before restoring")
-        self.stripe = code.encode_stripes(code.field.symbol_array(data).reshape(-1, 1))
+        self.stripes = code.encode_stripes(code.field.symbol_array(data).reshape(-1, 1))
         return self
 
     def _rows(self, idx: int) -> slice:
         return slice(idx * self.code.alpha, (idx + 1) * self.code.alpha)
 
     def node_data(self, node: tuple[int, int] | int) -> list[int] | None:
+        """The node's symbols, stripe by stripe; None once it has failed."""
         idx = node if isinstance(node, int) else self.params.node_index(*node)
         self.params.node_pair(idx)  # bounds check
-        if self.stripe is None or (
+        if self.stripes is None or (
             self.failed is not None and idx == self.params.node_index(*self.failed)
         ):
             return None
-        return self.stripe[self._rows(idx), 0].tolist()
+        return self.stripes[self._rows(idx)].ravel(order="F").tolist()
 
     def fail_node(self, node: tuple[int, int]) -> None:
         if self.failed is not None:
             raise ParameterError("only one concurrent failure is supported")
         idx = self.params.node_index(*node)
-        if self.stripe is None:
+        if self.stripes is None:
             raise ParameterError(f"node {node} holds no data")
-        self.stripe[self._rows(idx)] = 0  # the node's symbols are lost
+        self.stripes[self._rows(idx)] = 0  # the node's symbols are lost
         self.failed = node
 
     def run_repair(self, policy: RepairPolicy) -> TrafficLog:
         """Rebuild the failed node with ``bulk.repair_stripes``: each helper
         rack computes its response from its own stored symbols only.
-        Returns the traffic: alpha symbols from each local node and one
-        response symbol from each helper rack."""
+        Returns the traffic, counted from the local rows and the responses
+        that moved."""
         if self.failed is None:
             raise ParameterError("no failure pending")
         p = self.params
-        e_star = self.failed[0]
-        helper_racks = policy.select(e_star, p.nbar, p.dbar)
-        rebuilt, _, responses = repair_stripes(
-            self.code, self.failed, helper_racks, self.stripe
-        )
-        log = TrafficLog()
-        for _ in range(p.u - 1):  # alpha rows from each local node
-            log.record_intra(e_star, self.code.alpha)
-        for h in helper_racks:  # one response row from each helper rack
-            log.record_cross(h, e_star, responses.shape[1])
-        self.stripe[self._rows(p.node_index(*self.failed))] = rebuilt
+        failed = self.failed
+        helper_racks = policy.select(failed[0], p.nbar, p.dbar)
+        rebuilt, local, responses = repair_stripes(self.code, failed, helper_racks, self.stripes)
+        self.stripes[self._rows(p.node_index(*failed))] = rebuilt
         self.failed = None
-        return log
+        return TrafficLog(
+            failed, tuple(helper_racks), self.stripes.shape[1], responses.shape[0], local.shape[0]
+        )
 
 
 @dataclass(frozen=True)
@@ -230,7 +219,6 @@ __all__ = [
     "Cluster",
     "RepairPolicy",
     "SweepRow",
-    "TrafficEvent",
     "TrafficLog",
     "sweep_table",
     "MBRR",

@@ -19,15 +19,66 @@ Python:
 - minimum bandwidth: C = M * Lambda by matrix product, and reconstruction
   by interpolating each row of M through k node columns, checking any
   extra columns and the message structure, then unpacking.
+
+It also keeps the paper's identities that only the tests check: the
+rack-local polynomial family of the minimum-bandwidth code, its leading
+vectors read off storage, their transport of the symmetric block, and the
+minimum distance of the minimum-storage code by enumeration.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from rarc.errors import ParameterError, SingularSystemError, VerificationError
-from rarc.linalg import _check_points, poly_eval
-from rarc.mbrr import j1_columns, unpack_message
+from rarc.linalg import _check_points
+from rarc.mbrr import cell_layout, j1_columns, message_size
+
+#: Enumeration guard for brute-force distance scans.
+MAX_ENUMERATION = 1 << 20
+
+
+def poly_eval(F, coeffs: Sequence[int], x: int) -> int:
+    """Evaluate a lowest-degree-first coefficient list at x (Horner)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def pack_message(p, data) -> np.ndarray:
+    """Arrange B data symbols into the structured dbar x k message matrix."""
+    data = np.asarray(data)
+    B = message_size(p)
+    if data.shape != (B,):
+        raise ParameterError(f"data must have {B} symbols, got {data.size}")
+    layout = cell_layout(p)
+    cells = np.zeros(p.k * p.dbar, dtype=data.dtype)
+    cells[layout.filled] = data[layout.source]
+    return cells.reshape(p.k, p.dbar).T
+
+
+def unpack_message(p, M) -> list[int]:
+    """Inverse of ``pack_message``; does not validate structure."""
+    M = np.asarray(M)
+    if M.shape != (p.dbar, p.k):
+        raise ParameterError(f"message matrix must be {p.dbar}x{p.k}")
+    return M.T.ravel()[cell_layout(p).data].tolist()
+
+
+def encode_column(code, data) -> list[int]:
+    """One stripe of B data symbols through ``encode_stripes``: the n * alpha
+    stored symbols, node by node."""
+    return code.encode_stripes(code.field.symbol_array(data).reshape(-1, 1))[:, 0].tolist()
+
+
+def code_matrix(code, data) -> np.ndarray:
+    """The dbar x n code matrix C = M * Lambda of one minimum-bandwidth
+    stripe: column c is what node c stores."""
+    p = code.params
+    return np.array(encode_column(code, data), dtype=code.field.np_dtype).reshape(p.n, p.dbar).T
 
 
 # -- the container -----------------------------------------------------------------
@@ -382,3 +433,74 @@ def mbrr_reconstruct(code, available):
                 raise VerificationError("the given node set is inconsistent")
     _check_structure(p, M)
     return unpack_message(p, M.to_rows())
+
+
+# -- paper identities ---------------------------------------------------------------
+
+
+def minimum_distance(code):
+    """Minimum Hamming weight over all nonzero codewords, by enumeration.
+
+    Guarded to test-scale instances (q**B <= 2**20 codewords).
+    """
+    q = code.field.q
+    if q**code.B > MAX_ENUMERATION:
+        raise ParameterError(
+            f"{q}**{code.B} codewords exceed the enumeration guard {MAX_ENUMERATION}"
+        )
+    # every message as one column, the zero message first
+    messages = np.indices((q,) * code.B).reshape(code.B, -1)[:, 1:]
+    codewords = code.encode_stripes(messages.astype(code.field.np_dtype))
+    return int(np.count_nonzero(codewords, axis=0).min())
+
+
+def symmetric_block(p, M) -> np.ndarray:
+    """The dbar x dbar block S sitting in the first dbar boundary columns."""
+    M = np.asarray(M)
+    if M.shape != (p.dbar, p.k):
+        raise ParameterError(f"message matrix must be {p.dbar}x{p.k}")
+    return M.T.ravel()[cell_layout(p).block]
+
+
+def local_polys(code, e, M) -> np.ndarray:
+    """Degree-<= u-1 polynomials matching the global rows on rack e, as a
+    dbar x u array: entry (i, j) is the x^j coefficient of the i-th
+    polynomial, so the last column is the leading vector.
+
+    Coefficient j collects the message columns t*u + j, scaled by
+    (xi**(e*u))**t: M, zero-padded to (kbar + 1)*u columns, is regrouped
+    into one row per (i, j) and multiplied by the powers of the rack
+    point.
+    """
+    p = code.params
+    F = code.field
+    padded = np.zeros((p.dbar, (p.kbar + 1) * p.u), dtype=F.np_dtype)
+    padded[:, : p.k] = F.symbol_array(M)
+    grouped = padded.reshape(p.dbar, p.kbar + 1, p.u).transpose(0, 2, 1)
+    x = code.rack_points[e]
+    powers = F.symbol_array([[F.pow(x, t)] for t in range(p.kbar + 1)])
+    coeffs = F.np_matmul(grouped.reshape(p.dbar * p.u, p.kbar + 1), powers)
+    return coeffs.reshape(p.dbar, p.u)
+
+
+def leading_vector_from_storage(code, e, columns) -> list[int]:
+    """Leading coefficients of the rack-local polynomials, computed from
+    the u stored columns alone (no message access)."""
+    block = code.field.symbol_array(columns)  # (u x dbar)
+    return code.field.np_matmul(code.leading_weights[e : e + 1], block)[0].tolist()
+
+
+def mbr_codeword_check(code, M, C) -> bool:
+    """True iff the leading vectors recovered from the stored columns
+    equal S times the Vandermonde matrix on the rack points -- i.e. the
+    cross-rack storage really carries the block S.  Perturbing any
+    stored symbol breaks the identity."""
+    p = code.params
+    C = code.field.symbol_array(C)
+    S = symmetric_block(p, M)
+    expected = code.field.np_matmul(S, code.rack_powers.T)  # (dbar x nbar)
+    leading = [
+        leading_vector_from_storage(code, e, C[:, e * p.u : (e + 1) * p.u].T.tolist())
+        for e in range(p.nbar)
+    ]
+    return expected.T.tolist() == leading

@@ -17,9 +17,9 @@ for every call:
 Probing either route with unit vectors reads off the matrices it applies.
 """
 
-from codec_oracle import Matrix, gaussian_solve, vandermonde_solve
+from codec_oracle import Matrix, gaussian_solve, poly_eval, vandermonde_solve
 from rarc.errors import ParameterError
-from rarc.linalg import lagrange_leading_weights, poly_eval
+from rarc.linalg import lagrange_leading_weights
 
 
 def lagrange_leading_coefficient(F, points, values):

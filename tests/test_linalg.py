@@ -10,7 +10,6 @@ from rarc.field import Gf256Field, PrimeField, make_field
 from rarc.linalg import (
     lagrange_eval_weights,
     lagrange_leading_weights,
-    poly_eval,
     row_reduce,
     vandermonde_inverse,
 )
@@ -22,6 +21,7 @@ from codec_oracle import (
     invert,
     mat_mul,
     mat_vec,
+    poly_eval,
     rank,
     vandermonde_solve,
 )

@@ -3,21 +3,25 @@ import random
 
 import pytest
 
+from rarc import bulk
 from rarc.errors import ParameterError, VerificationError
 from rarc.field import make_field
-from rarc.linalg import poly_eval
-from rarc.mbrr import (
-    MbrrCode,
-    cell_layout,
-    j1_columns,
-    message_size,
+from rarc.mbrr import MbrrCode, cell_layout, j1_columns, message_size
+from rarc.params import SystemParams, cutset_bound, mbrr_point
+from rarc.sim import Cluster, RepairPolicy
+
+from codec_oracle import (
+    Matrix,
+    code_matrix,
+    leading_vector_from_storage,
+    local_polys,
+    mat_mul,
+    mbr_codeword_check,
     pack_message,
+    poly_eval,
     symmetric_block,
     unpack_message,
 )
-from rarc.params import SystemParams, cutset_bound, mbrr_point
-
-from codec_oracle import Matrix, mat_mul
 
 
 def build(n, u, k, dbar, preference="prime"):
@@ -36,12 +40,20 @@ def random_data(code, rng):
 def encode_random(code, rng):
     data = random_data(code, rng)
     M = pack_message(code.params, data)
-    return data, M, code.encode(M)
+    return data, M, code_matrix(code, data)
 
 
 def stored_columns(code, C, rack):
     p = code.params
-    return [code.node_column(C, p.node_index(rack, g)) for g in range(p.u)]
+    return [C[:, p.node_index(rack, g)].tolist() for g in range(p.u)]
+
+
+def response(code, C, helper, failed_rack):
+    """Rack ``helper``'s one symbol for a repair in ``failed_rack``."""
+    p = code.params
+    others = [e for e in range(p.nbar) if e not in (helper, failed_rack)]
+    racks = [helper] + others[: p.dbar - 1]
+    return int(bulk.repair_stripes(code, (failed_rack, 0), racks, C.T.reshape(-1, 1))[2][0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +129,7 @@ def test_pack_validations():
 
 def test_encode_zero_matrix():
     code = build(8, 2, 5, 1)
-    C = code.encode([[0] * 5])
+    C = code_matrix(code, [0] * code.B)
     assert all(v == 0 for v in C.ravel())
 
 
@@ -129,7 +141,7 @@ def test_encode_single_row_hand_instance():
     M = pack_message(p, data)
     # layout: boundary column 1 holds the block, column 0 the remaining symbol
     assert M.tolist() == [[2, 4]]
-    C = code.encode(M)
+    C = code_matrix(code, data)
     for idx in range(p.n):
         lam = code.lam[idx]
         assert C[0, idx] == f.add(2, f.mul(4, lam))
@@ -149,8 +161,8 @@ def test_encode_matches_polynomial_evaluation():
 def test_node_column_has_dbar_symbols():
     rng = random.Random(83)
     code = build(10, 2, 7, 2)
-    _, _, C = encode_random(code, rng)
-    assert len(code.node_column(C, 0)) == 2
+    data, _, _ = encode_random(code, rng)
+    assert len(Cluster(code).store(data).node_data(0)) == 2
     assert code.alpha == 2
 
 
@@ -166,7 +178,7 @@ def test_local_polys_agree_with_rows_on_own_rack():
         _, M, C = encode_random(code, rng)
         p, f = code.params, code.field
         for e in range(p.nbar):
-            polys = code.local_polys(e, M)
+            polys = local_polys(code, e, M)
             for g in range(p.u):
                 idx = p.node_index(e, g)
                 for i in range(p.dbar):
@@ -178,7 +190,7 @@ def test_local_polys_rack_zero_is_plain_column_sums():
     code = build(10, 2, 7, 2)
     _, M, _ = encode_random(code, rng)
     p, f = code.params, code.field
-    polys = code.local_polys(0, M)
+    polys = local_polys(code, 0, M)
     for i in range(p.dbar):
         for j in range(p.u):
             if j == p.u - 1:
@@ -199,14 +211,14 @@ def test_leading_vector_from_storage_matches_message_route():
         _, M, C = encode_random(code, rng)
         p = code.params
         for e in range(p.nbar):
-            from_message = code.local_polys(e, M)[:, -1].tolist()
-            from_storage = code.leading_vector_from_storage(e, stored_columns(code, C, e))
+            from_message = local_polys(code, e, M)[:, -1].tolist()
+            from_storage = leading_vector_from_storage(code, e, stored_columns(code, C, e))
             assert from_storage == from_message
 
 
 def test_leading_vector_zero_codeword():
     code = build(8, 2, 5, 1)
-    assert code.leading_vector_from_storage(0, [[0], [0]]) == [0]
+    assert leading_vector_from_storage(code, 0, [[0], [0]]) == [0]
 
 
 def test_leading_vector_two_node_closed_form():
@@ -218,7 +230,7 @@ def test_leading_vector_two_node_closed_form():
     cols = stored_columns(code, C, e)
     x0, x1 = code.lam[p.node_index(e, 0)], code.lam[p.node_index(e, 1)]
     expected = f.div(f.sub(cols[0][0], cols[1][0]), f.sub(x0, x1))
-    assert code.leading_vector_from_storage(e, cols) == [expected]
+    assert leading_vector_from_storage(code, e, cols) == [expected]
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +243,14 @@ def test_transport_identity_exact():
     for code in (build(8, 2, 5, 1), build(10, 2, 7, 2), build(12, 3, 8, 2), *PRODUCTION):
         _, M, C = encode_random(code, rng)
         p, f = code.params, code.field
-        assert code.mbr_codeword_check(M, C)
+        assert mbr_codeword_check(code, M, C)
         S = Matrix.from_rows(symmetric_block(p, M).tolist())
         V = Matrix.from_rows(
             [[f.pow(code.rack_points[e], i) for e in range(p.nbar)] for i in range(p.dbar)]
         )
         expected = mat_mul(f, S, V)
         for e in range(p.nbar):
-            assert code.local_polys(e, M)[:, -1].tolist() == expected.col(e)
+            assert local_polys(code, e, M)[:, -1].tolist() == expected.col(e)
 
 
 def test_transport_breaks_under_mutation():
@@ -246,7 +258,7 @@ def test_transport_breaks_under_mutation():
     code = build(8, 2, 5, 1)
     _, M, C = encode_random(code, rng)
     C[0, 3] = code.field.add(int(C[0, 3]), 1)  # perturb one stored symbol
-    assert not code.mbr_codeword_check(M, C)
+    assert not mbr_codeword_check(code, M, C)
 
 
 def test_transport_single_helper_constant_row():
@@ -255,7 +267,7 @@ def test_transport_single_helper_constant_row():
     _, M, _ = encode_random(code, rng)
     p = code.params
     s00 = symmetric_block(p, M)[0, 0]
-    leadings = {tuple(code.local_polys(e, M)[:, -1].tolist()) for e in range(p.nbar)}
+    leadings = {tuple(local_polys(code, e, M)[:, -1].tolist()) for e in range(p.nbar)}
     assert leadings == {(s00,)}
 
 
@@ -284,7 +296,7 @@ def test_symmetry_transport_between_rack_pairs():
 
 def test_helper_response_zero_codeword():
     code = build(8, 2, 5, 1)
-    assert code.helper_response(1, 0, [[0], [0]]) == 0
+    assert response(code, code_matrix(code, [0] * code.B), 1, 0) == 0
 
 
 def test_helper_response_single_helper_is_leading_entry():
@@ -292,7 +304,7 @@ def test_helper_response_single_helper_is_leading_entry():
     code = build(8, 2, 5, 1)
     _, _, C = encode_random(code, rng)
     cols = stored_columns(code, C, 1)
-    assert code.helper_response(1, 0, cols) == code.leading_vector_from_storage(1, cols)[0]
+    assert response(code, C, 1, 0) == leading_vector_from_storage(code, 1, cols)[0]
 
 
 def test_helper_response_matches_block_inner_product():
@@ -302,7 +314,7 @@ def test_helper_response_matches_block_inner_product():
     p, f = code.params, code.field
     S = symmetric_block(p, M).tolist()
     for helper in range(1, p.nbar):
-        got = code.helper_response(helper, 0, stored_columns(code, C, helper))
+        got = response(code, C, helper, 0)
         va = [f.pow(code.rack_points[0], i) for i in range(p.dbar)]
         vb = [f.pow(code.rack_points[helper], i) for i in range(p.dbar)]
         want = 0
@@ -315,7 +327,7 @@ def test_helper_response_matches_block_inner_product():
 def test_helper_response_rejects_self_help():
     code = build(8, 2, 5, 1)
     with pytest.raises(ParameterError):
-        code.helper_response(1, 1, [[0], [0]])
+        code.repair_maps((1, 0), [1])
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +336,15 @@ def test_helper_response_rejects_self_help():
 
 
 def repair_via_storage(code, C, failed, helper_set):
-    p = code.params
-    e_star, g_star = failed
-    local = [
-        (g, code.node_column(C, p.node_index(e_star, g)))
-        for g in range(p.u)
-        if g != g_star
-    ]
-    helpers = [
-        (h, code.helper_response(h, e_star, stored_columns(code, C, h)))
-        for h in helper_set
-    ]
-    return code.repair(failed, local, helpers)
+    cluster = Cluster(code, C.T.reshape(-1, 1).copy())
+    cluster.fail_node(failed)
+    cluster.run_repair(RepairPolicy.explicit(helper_set))
+    return cluster.node_data(failed)
 
 
 def test_repair_zero_codeword():
     code = build(8, 2, 5, 1)
-    C = code.encode([[0] * 5])
+    C = code_matrix(code, [0] * code.B)
     assert repair_via_storage(code, C, (0, 0), [2]) == [0]
 
 
@@ -355,23 +359,21 @@ def test_repair_exhaustive_both_instances():
                 others = [e for e in range(p.nbar) if e != failed[0]]
                 for helper_set in itertools.combinations(others, p.dbar):
                     got = repair_via_storage(code, C, failed, helper_set)
-                    assert got == code.node_column(C, idx)
+                    assert got == C[:, idx].tolist()
 
 
 def test_repair_validations():
     rng = random.Random(149)
     code = build(10, 2, 7, 2)
     _, _, C = encode_random(code, rng)
-    p = code.params
-    local = [(1, code.node_column(C, p.node_index(0, 1)))]
     with pytest.raises(ParameterError):
-        code.repair((0, 0), local, [(1, 0)])  # too few helpers
+        repair_via_storage(code, C, (0, 0), [1])  # too few helpers
     with pytest.raises(ParameterError):
-        code.repair((0, 0), local, [(1, 0), (1, 0)])  # duplicate helper
+        repair_via_storage(code, C, (0, 0), [1, 1])  # duplicate helper
     with pytest.raises(ParameterError):
-        code.repair((0, 0), local, [(0, 0), (2, 0)])  # self-help
+        repair_via_storage(code, C, (0, 0), [0, 2])  # self-help
     with pytest.raises(ParameterError):
-        code.repair((0, 0), [], [(1, 0), (2, 0)])  # missing local columns
+        Cluster(code, C.T.reshape(-1, 1)[2:])  # missing local columns
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +387,7 @@ def test_reconstruct_every_k_subset():
     data, _, C = encode_random(code, rng)
     p = code.params
     for subset in itertools.combinations(range(p.n), p.k):
-        got = code.reconstruct([(i, code.node_column(C, i)) for i in subset])
+        got = code.reconstruct([(i, C[:, i].tolist()) for i in subset])
         assert got == data
 
 
@@ -394,7 +396,7 @@ def test_reconstruct_full_supply_and_extras_checked():
     code = build(10, 2, 7, 2)
     data, _, C = encode_random(code, rng)
     p = code.params
-    everything = [(i, code.node_column(C, i)) for i in range(p.n)]
+    everything = [(i, C[:, i].tolist()) for i in range(p.n)]
     assert code.reconstruct(everything) == data
     corrupted = [(i, list(col)) for i, col in everything]
     corrupted[p.n - 1][1][0] = code.field.add(corrupted[p.n - 1][1][0], 1)
@@ -407,7 +409,7 @@ def test_reconstruct_needs_k_columns():
     code = build(8, 2, 5, 1)
     _, _, C = encode_random(code, rng)
     with pytest.raises(ParameterError):
-        code.reconstruct([(i, code.node_column(C, i)) for i in range(code.params.k - 1)])
+        code.reconstruct([(i, C[:, i].tolist()) for i in range(code.params.k - 1)])
 
 
 def test_reconstruct_structure_check_catches_corruption():
@@ -415,7 +417,7 @@ def test_reconstruct_structure_check_catches_corruption():
     code = build(10, 2, 7, 2)
     _, _, C = encode_random(code, rng)
     p = code.params
-    cols = [(i, list(code.node_column(C, i))) for i in range(p.k)]
+    cols = [(i, list(C[:, i].tolist())) for i in range(p.k)]
     cols[0][1][1] = code.field.add(cols[0][1][1], 3)
     with pytest.raises(VerificationError):
         code.reconstruct(cols)
@@ -442,9 +444,9 @@ def test_end_to_end_identity():
     rng = random.Random(173)
     for code in (build(8, 2, 5, 1), build(10, 2, 7, 2), build(10, 5, 8, 1, "gf256")):
         data = random_data(code, rng)
-        C = code.encode(pack_message(code.params, data))
+        C = code_matrix(code, data)
         p = code.params
-        got = code.reconstruct([(i, code.node_column(C, i)) for i in range(p.k)])
+        got = code.reconstruct([(i, C[:, i].tolist()) for i in range(p.k)])
         assert got == data
 
 

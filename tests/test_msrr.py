@@ -1,14 +1,18 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from rarc import bulk
 from rarc.errors import ParameterError, SingularSystemError, VerificationError
 from rarc.field import make_field
 from rarc.msrr import MsrrCode, check_exponents
 from rarc.params import SystemParams, cutset_bound, msrr_point
+from rarc.sim import Cluster, RepairPolicy
 
-from codec_oracle import check_matrix, rank
+from codec_oracle import check_matrix, minimum_distance, rank
+from codec_oracle import encode_column as encode
 
 
 def build(n, u, k, dbar, preference="prime", **kwargs):
@@ -18,6 +22,14 @@ def build(n, u, k, dbar, preference="prime", **kwargs):
 
 def random_message(code, rng):
     return [rng.randrange(code.field.q) for _ in range(code.B)]
+
+
+def cluster_repair(code, codeword, failed, helpers):
+    """The symbol a Cluster holding ``codeword`` as one stripe rebuilds."""
+    cluster = Cluster(code, code.field.symbol_array(codeword).reshape(-1, 1))
+    cluster.fail_node(failed)
+    cluster.run_repair(RepairPolicy.explicit(helpers))
+    return cluster.node_data(failed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -102,31 +114,31 @@ def test_parity_submatrix_invertible():
 
 def test_encode_zero_message_gives_zero_codeword():
     code = build(6, 2, 4, 1)
-    assert code.encode([0] * code.B) == [0] * 6
+    assert encode(code, [0] * code.B) == [0] * 6
 
 
 def test_encode_satisfies_every_check():
     rng = random.Random(31)
     for code in (build(6, 2, 4, 1), build(10, 5, 9, 1, "gf256")):
-        for _ in range(25):
-            assert code.parity_ok(code.encode(random_message(code, rng)))
+        data = code.field.symbol_array([random_message(code, rng) for _ in range(25)]).T
+        assert not code.field.np_matmul(code.checks, code.encode_stripes(data)).any()
 
 
 def test_encode_is_systematic_and_linear():
     rng = random.Random(37)
     code = build(6, 2, 4, 1)
     m1, m2 = random_message(code, rng), random_message(code, rng)
-    c1, c2 = code.encode(m1), code.encode(m2)
+    c1, c2 = encode(code, m1), encode(code, m2)
     for pos, sym in zip(code.info_set, m1):
         assert c1[pos] == sym
     msum = [code.field.add(a, b) for a, b in zip(m1, m2)]
-    assert code.encode(msum) == [code.field.add(a, b) for a, b in zip(c1, c2)]
+    assert encode(code, msum) == [code.field.add(a, b) for a, b in zip(c1, c2)]
 
 
 def test_encode_rejects_wrong_length():
     code = build(6, 2, 4, 1)
     with pytest.raises(ParameterError):
-        code.encode([0] * (code.B + 1))
+        code.encode_stripes(np.zeros((code.B + 1, 1), dtype=code.field.np_dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +150,7 @@ def test_reconstruct_round_trip_and_full_supply():
     rng = random.Random(41)
     code = build(6, 2, 4, 1)
     m = random_message(code, rng)
-    cw = code.encode(m)
+    cw = encode(code, m)
     assert code.reconstruct(list(enumerate(cw))) == m  # all n symbols
     assert code.reconstruct([(i, cw[i]) for i in (0, 1, 4, 5)]) == m
 
@@ -148,14 +160,14 @@ def test_reconstruct_every_k_subset():
     code = build(6, 2, 4, 1)
     for _ in range(10):
         m = random_message(code, rng)
-        cw = code.encode(m)
+        cw = encode(code, m)
         for subset in itertools.combinations(range(6), 4):
             assert code.reconstruct([(i, cw[i]) for i in subset]) == m
 
 
 def test_reconstruct_needs_k_symbols():
     code = build(6, 2, 4, 1)
-    cw = code.encode([1, 2, 3])
+    cw = encode(code, [1, 2, 3])
     with pytest.raises(ParameterError):
         code.reconstruct([(i, cw[i]) for i in range(3)])
     with pytest.raises(ParameterError):
@@ -166,7 +178,7 @@ def test_reconstruct_needs_k_symbols():
 
 def test_reconstruct_flags_inconsistent_symbols():
     code = build(6, 2, 4, 1)
-    cw = code.encode([1, 2, 3])
+    cw = encode(code, [1, 2, 3])
     bad = list(enumerate(cw))
     bad[0] = (0, code.field.add(cw[0], 1))
     with pytest.raises((SingularSystemError, VerificationError)):
@@ -180,8 +192,9 @@ def test_reconstruct_flags_inconsistent_symbols():
 
 def test_helper_response_examples():
     code = build(6, 2, 4, 1)
-    assert code.helper_response(0, [0, 0]) == 0
-    assert code.helper_response(1, [3, 5]) == 1  # 3 + 5 mod 7
+    body = code.field.symbol_array([[1], [2], [0], [0], [3], [5]])
+    assert bulk.repair_stripes(code, (0, 0), [1], body)[2].tolist() == [[0]]
+    assert bulk.repair_stripes(code, (0, 0), [2], body)[2].tolist() == [[1]]  # 3 + 5 mod 7
 
 
 def test_rack_sums_satisfy_stride_checks():
@@ -189,22 +202,22 @@ def test_rack_sums_satisfy_stride_checks():
     code = build(8, 2, 5, 1)
     F = code.field
     p = code.params
-    for _ in range(20):
-        cw = code.encode(random_message(code, rng))
-        sums = [
-            code.helper_response(e, cw[e * p.u : (e + 1) * p.u]) for e in range(p.nbar)
-        ]
-        for i in range(p.nbar - p.dbar):
-            acc = 0
-            for e in range(p.nbar):
-                acc = F.add(acc, F.mul(F.pow(code.rack_points[e], i), sums[e]))
-            assert acc == 0
+    body = code.encode_stripes(F.symbol_array([random_message(code, rng) for _ in range(20)]).T)
+    # rack e's response to a repair in the next rack, for all 20 stripes
+    sums = [
+        bulk.repair_stripes(code, ((e + 1) % p.nbar, 0), [e], body)[2][0] for e in range(p.nbar)
+    ]
+    for i in range(p.nbar - p.dbar):
+        acc = np.zeros(20, dtype=F.np_dtype)
+        for e in range(p.nbar):
+            acc = F.np_add(acc, F.np_mul(F.pow(code.rack_points[e], i), sums[e]))
+        assert not acc.any()
 
 
 def test_helper_response_requires_full_rack():
     code = build(6, 2, 4, 1)
     with pytest.raises(ParameterError):
-        code.helper_response(0, [1])
+        Cluster(code, np.zeros((5, 1), dtype=code.field.np_dtype))  # a node's row missing
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +227,7 @@ def test_helper_response_requires_full_rack():
 
 def test_repair_zero_codeword():
     code = build(6, 2, 4, 1)
-    assert code.repair((0, 0), [0], [(1, 0)]) == 0
+    assert cluster_repair(code, [0] * 6, (0, 0), [1]) == 0
 
 
 def test_repair_exhaustive_small_instance():
@@ -222,30 +235,23 @@ def test_repair_exhaustive_small_instance():
     code = build(6, 2, 4, 1)
     p = code.params
     for _ in range(10):
-        cw = code.encode(random_message(code, rng))
+        cw = encode(code, random_message(code, rng))
         for idx in range(p.n):
             e_star, g_star = p.node_pair(idx)
-            local = [cw[p.node_index(e_star, g)] for g in range(p.u) if g != g_star]
             for helper_set in itertools.combinations(
                 [e for e in range(p.nbar) if e != e_star], p.dbar
             ):
-                helpers = [
-                    (h, code.helper_response(h, cw[h * p.u : (h + 1) * p.u]))
-                    for h in helper_set
-                ]
-                assert code.repair((e_star, g_star), local, helpers) == cw[idx]
+                assert cluster_repair(code, cw, (e_star, g_star), helper_set) == cw[idx]
 
 
 def test_repair_helper_sets_agree():
     rng = random.Random(59)
     code = build(8, 2, 5, 1)
     p = code.params
-    cw = code.encode(random_message(code, rng))
-    local = [cw[1]]
+    cw = encode(code, random_message(code, rng))
     results = set()
     for h in range(1, p.nbar):
-        s = code.helper_response(h, cw[h * p.u : (h + 1) * p.u])
-        results.add(code.repair((0, 0), local, [(h, s)]))
+        results.add(cluster_repair(code, cw, (0, 0), [h]))
     assert results == {cw[0]}
 
 
@@ -253,23 +259,21 @@ def test_repair_with_every_other_rack_helping():
     rng = random.Random(61)
     code = build(8, 2, 6, 3)  # dbar = nbar - 1: the single maximal helper set
     p = code.params
-    cw = code.encode(random_message(code, rng))
-    helpers = [
-        (h, code.helper_response(h, cw[h * p.u : (h + 1) * p.u])) for h in (1, 2, 3)
-    ]
-    assert code.repair((0, 1), [cw[0]], helpers) == cw[1]
+    cw = encode(code, random_message(code, rng))
+    assert cluster_repair(code, cw, (0, 1), [1, 2, 3]) == cw[1]
 
 
 def test_repair_validations():
     code = build(6, 2, 4, 1)
+    cw = [1, 2, 3, 4, 5, 6]
     with pytest.raises(ParameterError):
-        code.repair((0, 0), [1], [(0, 2)])  # failed rack helping itself
+        cluster_repair(code, cw, (0, 0), [0])  # failed rack helping itself
     with pytest.raises(ParameterError):
-        code.repair((0, 0), [1], [(1, 2), (2, 3)])  # too many helpers
+        cluster_repair(code, cw, (0, 0), [1, 2])  # too many helpers
     with pytest.raises(ParameterError):
-        code.repair((0, 0), [1, 2], [(1, 2)])  # wrong local count
+        cluster_repair(code, cw[:5], (0, 0), [1])  # a local row missing
     with pytest.raises(ParameterError):
-        build(6, 2, 4, 0).repair((0, 0), [1], [])  # dbar=0 must use repair_local
+        cluster_repair(build(6, 2, 4, 0), cw, (0, 0), [1])  # dbar=0 takes no helper rack
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +283,7 @@ def test_repair_validations():
 
 def test_repair_local_hand_value():
     code = build(6, 3, 4, 0)
-    assert code.repair_local((0, 2), [1, 2]) == 4  # -(1+2) mod 7
+    assert cluster_repair(code, [1, 2, 0, 0, 0, 0], (0, 2), []) == 4  # -(1+2) mod 7
 
 
 def test_repair_local_exhaustive():
@@ -287,16 +291,15 @@ def test_repair_local_exhaustive():
     code = build(6, 3, 4, 0)
     p = code.params
     for _ in range(20):
-        cw = code.encode(random_message(code, rng))
+        cw = encode(code, random_message(code, rng))
         for idx in range(p.n):
             e_star, g_star = p.node_pair(idx)
-            local = [cw[p.node_index(e_star, g)] for g in range(p.u) if g != g_star]
-            assert code.repair_local((e_star, g_star), local) == cw[idx]
+            assert cluster_repair(code, cw, (e_star, g_star), []) == cw[idx]
 
 
 def test_repair_local_requires_no_helpers():
     with pytest.raises(ParameterError):
-        build(6, 2, 4, 1).repair_local((0, 0), [1])
+        cluster_repair(build(6, 2, 4, 1), [0] * 6, (0, 0), [])  # dbar=1 needs a helper rack
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +309,7 @@ def test_repair_local_requires_no_helpers():
 
 def test_minimum_distance_local_code():
     # u does not divide k: distance meets n - k + 1 exactly
-    assert build(6, 3, 4, 0).minimum_distance() == 3
+    assert minimum_distance(build(6, 3, 4, 0)) == 3
 
 
 def test_minimum_distance_step_down_reaches_better_bound():
@@ -314,11 +317,11 @@ def test_minimum_distance_step_down_reaches_better_bound():
     code = build(6, 2, 4, 0, step_down_aligned_k=True)
     assert code.params.k == 3
     assert code.B == 2  # dimension unchanged by the step-down
-    assert code.minimum_distance() == 4  # n - k + 2 for the original k
+    assert minimum_distance(code) == 4  # n - k + 2 for the original k
 
 
 def test_minimum_distance_never_below_singleton_gap():
-    assert build(6, 2, 4, 1).minimum_distance() >= 3  # n - k + 1
+    assert minimum_distance(build(6, 2, 4, 1)) >= 3  # n - k + 1
 
 
 def test_step_down_flag_guards():
@@ -330,7 +333,7 @@ def test_step_down_flag_guards():
 
 def test_minimum_distance_guard_refuses_large_instances():
     with pytest.raises(ParameterError):
-        build(50, 5, 44, 4, "gf256").minimum_distance()
+        minimum_distance(build(50, 5, 44, 4, "gf256"))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +355,7 @@ def test_codeword_symbol_layout_is_rack_major():
     assert 1 in code.T
     assert code.checks[code.T.index(1)].tolist() == code.lam
     rng = random.Random(71)
-    cw = code.encode(random_message(code, rng))
+    cw = encode(code, random_message(code, rng))
     acc = 0
     for lam_c, sym in zip(code.lam, cw):
         acc = code.field.add(acc, code.field.mul(lam_c, sym))

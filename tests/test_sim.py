@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from rarc import bulk
 from rarc.errors import ParameterError
 from rarc.field import make_field
 from rarc.mbrr import MbrrCode
@@ -124,19 +126,27 @@ def test_array_code_traffic_counts():
 
 def test_traffic_counts_derive_from_trace():
     cluster, _ = mbrr_cluster(10, 2, 7, 2)
+    body = cluster.stripes.copy()
     cluster.fail_node((0, 1))
     log = cluster.run_repair(RepairPolicy.lowest_index())
-    assert log.cross_rack_symbols == sum(
-        e.symbols for e in log.events if e.kind == "cross"
-    )
-    assert log.intra_rack_symbols == sum(
-        e.symbols for e in log.events if e.kind == "intra"
-    )
-    for event in log.events:
-        if event.kind == "cross":
-            assert event.dst_rack == 0
-        else:
-            assert event.src_rack == event.dst_rack == 0
+    _, local, responses = bulk.repair_stripes(cluster.code, (0, 1), log.helper_racks, body)
+    assert (log.cross_rack_symbols, log.intra_rack_symbols) == (responses.size, local.size)
+    assert (log.cross_per_stripe, log.intra_per_stripe) == (responses.shape[0], local.shape[0])
+    assert 0 not in log.helper_racks
+    assert log.failed == (0, 1)
+
+
+def test_cluster_repairs_every_stripe_of_a_matrix():
+    code = MbrrCode.build(SystemParams(n=10, u=2, k=7, dbar=2), make_field(10, 2, "prime"))
+    data = code.field.symbol_array([RNG.randrange(code.field.q) for _ in range(3 * code.B)])
+    data = data.reshape(code.B, 3)
+    body = code.encode_stripes(data)
+    cluster = Cluster(code, body.copy())
+    assert cluster.node_data(4) == body[8:10].T.ravel().tolist()  # stripe by stripe
+    cluster.fail_node((2, 0))
+    log = cluster.run_repair(RepairPolicy.explicit([0, 3]))
+    assert np.array_equal(cluster.stripes, body)
+    assert (log.stripes, log.cross_rack_symbols, log.intra_rack_symbols) == (3, 2 * 3, 2 * 3)
 
 
 # ---------------------------------------------------------------------------
