@@ -14,11 +14,10 @@ from fractions import Fraction
 from rarc import (
     SystemParams,
     cutset_bound,
-    mbrr_point,
     mincut_profile,
-    msrr_point,
     overhead_pair,
     sweep_table,
+    tradeoff_points,
 )
 from rarc.formats import format_thousandths
 
@@ -42,9 +41,7 @@ print(f"\nbound at alpha=1/2, beta=1/3: {cutset_bound(p, Fraction(1, 2), Fractio
 
 # The two extreme operating points, normalized to one downloaded symbol
 # per helper rack.
-ms = msrr_point(p)
-mb = mbrr_point(p)
-for point in (ms, mb):
+for point in tradeoff_points(p):
     storage, bandwidth = overhead_pair(point, p)
     print(
         f"\n{point.label}: alpha={point.alpha}, beta={point.beta}, B={point.B}"
@@ -55,12 +52,13 @@ for point in (ms, mb):
 # A larger sweep with rack size 5 and fault tolerance 6, listing the
 # overhead pairs at several cluster widths and repair degrees.
 print("\nsweep (u=5, n-k=6):")
-rows, notes = sweep_table(5, 6, [10, 20, 30], [0, 4, 8])
+pairs, notes = sweep_table(5, 6, [10, 20, 30], [0, 4, 8])
 print(f"  {'nbar':>4} {'dbar':>4} {'code':>5} {'storage':>8} {'bandwidth':>9}")
-for row in rows:
+for sp, point in pairs:
+    storage, bandwidth = overhead_pair(point, sp)
     print(
-        f"  {row.nbar:>4} {row.dbar:>4} {row.code:>5}"
-        f" {format_thousandths(row.storage):>8} {format_thousandths(row.bandwidth):>9}"
+        f"  {sp.nbar:>4} {sp.dbar:>4} {point.label:>5}"
+        f" {format_thousandths(storage):>8} {format_thousandths(bandwidth):>9}"
     )
 for note in notes:
     print(f"  ({note})")

@@ -14,8 +14,7 @@ from rarc import (
     RepairPolicy,
     SystemParams,
     make_field,
-    mbrr_point,
-    msrr_point,
+    tradeoff_points,
 )
 
 rng = random.Random(13)
@@ -23,9 +22,8 @@ rng = random.Random(13)
 p = SystemParams(n=10, u=2, k=7, dbar=2)
 field = make_field(p.n, p.u, "prime")
 
-for build in (MsrrCode.build, MbrrCode.build):
-    code = build(p, field)
-    point = msrr_point(p) if code.code_type == "msrr" else mbrr_point(p)
+for cls, point in zip((MsrrCode, MbrrCode), tradeoff_points(p)):
+    code = cls.build(p, field)
     data = [rng.randrange(field.q) for _ in range(code.B)]
     cluster = Cluster(code).store(data)
     print(f"\n=== {code.code_type}: alpha={point.alpha}, beta={point.beta}, B={point.B} ===")
@@ -36,7 +34,7 @@ for build in (MsrrCode.build, MbrrCode.build):
     assert cluster.node_data((2, 1)) is None
     log = cluster.run_repair(RepairPolicy.uniform_random(seed=99))
     assert cluster.node_data((2, 1)) == before
-    print(f"repaired (2,1) with helper racks {log.helper_racks_used}")
+    print(f"repaired (2,1) with helper racks {list(log.helper_racks)}")
     print(f"cross-rack: {log.cross_rack_symbols} symbols = dbar*beta = {p.dbar * point.beta}")
     print(
         f"intra-rack: {log.intra_rack_symbols} symbols = (u-1)*alpha = {(p.u - 1) * point.alpha}"

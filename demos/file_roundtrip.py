@@ -49,6 +49,5 @@ with tempfile.TemporaryDirectory() as workdir:
         assert fh.read() == payload
     print("\npayload restored byte-identically")
 
-    print("\n== published-table check ==")
-    assert main(["table", "--check"]) == 0
-    print("sweep matches the published overhead pairs")
+    print("\n== install check: small-code round trips and the published table ==")
+    assert main(["selftest"]) == 0

@@ -32,8 +32,10 @@ from .params import (
     mincut_profile,
     msrr_point,
     overhead_pair,
+    sweep_table,
+    tradeoff_points,
 )
-from .sim import Cluster, RepairPolicy, TrafficLog, sweep_table
+from .sim import Cluster, RepairPolicy, TrafficLog
 
 __version__ = "0.1.0"
 
@@ -65,6 +67,7 @@ __all__ = [
     "multiplicative_order",
     "overhead_pair",
     "sweep_table",
+    "tradeoff_points",
     "MBRR",
     "MSRR",
     "__version__",

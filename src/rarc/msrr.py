@@ -23,7 +23,6 @@ stripe columns; a single stripe is a one-column block.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,26 +66,8 @@ class MsrrCode:
         self.rack_weights = lagrange_leading_weights(field, self.rack_points)
 
     @classmethod
-    def build(
-        cls,
-        params: SystemParams,
-        field: FieldSpec,
-        *,
-        step_down_aligned_k: bool = False,
-    ) -> "MsrrCode":
-        """Construct the code for ``params`` over ``field``.
-
-        ``step_down_aligned_k`` replaces k by k - 1 when dbar = 0 and u | k:
-        the dimension k - kbar is unchanged but minimum distance improves
-        from n - k + 1 to n - k + 2.  The substitution is never silent; it
-        errors if requested outside that situation.
-        """
-        if step_down_aligned_k:
-            if params.dbar != 0 or params.k % params.u != 0:
-                raise ParameterError(
-                    "step_down_aligned_k applies only when dbar == 0 and u | k"
-                )
-            params = replace(params, k=params.k - 1)
+    def build(cls, params: SystemParams, field: FieldSpec) -> "MsrrCode":
+        """Construct the code for ``params`` over ``field``."""
         if field.u != params.u:
             raise ParameterError(f"field rack size {field.u} != system rack size {params.u}")
         if field.q <= params.n:

@@ -1,4 +1,5 @@
-"""System parameters, the cut-set bound, and the two tradeoff extremes.
+"""System parameters, the cut-set bound, the two tradeoff extremes, and
+the overhead sweep over a grid of parameter sets.
 
 A cluster stores n nodes in nbar racks of u nodes each; any k nodes must
 recover the file, and a failed node is rebuilt from the other u - 1 nodes
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import ParameterError
 
@@ -104,31 +106,35 @@ def check_node_set(p: SystemParams, nodes) -> list[int]:
 
 def cutset_bound(p: SystemParams, alpha, beta):
     """Maximum storable file size B* for per-node storage alpha and
-    per-helper-rack download beta.
+    per-helper-rack download beta: the min-cut profile at lbar = kbar.
 
     B* = (k - kbar)*alpha + sum_{i=1..min(kbar, dbar)} min((dbar-i+1)*beta, alpha).
+    """
+    return mincut_profile(p, alpha, beta, p.kbar)
+
+
+def mincut_profile(p: SystemParams, alpha, beta, lbar: int):
+    """Cut value for a data collector fully covering lbar racks,
+
+    (k - lbar)*alpha + sum_{i=1..m} min((dbar-i+1)*beta, alpha), m = min(lbar, dbar),
+
+    in closed form, exact for ints and fractions.  The terms fall with i,
+    so the first ``reach`` of them, those with (dbar-i+1)*beta >= alpha,
+    each give alpha, and the rest give beta times the arithmetic series
+    dbar-reach, ..., dbar-m+1.  Non-increasing in lbar.
     """
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     if beta < 0:
         raise ParameterError("beta must be nonnegative")
-    acc = (p.k - p.kbar) * alpha
-    for i in range(1, min(p.kbar, p.dbar) + 1):
-        acc += min((p.dbar - i + 1) * beta, alpha)
-    return acc
-
-
-def mincut_profile(p: SystemParams, alpha, beta, lbar: int):
-    """Cut value for a data collector fully covering lbar racks.
-
-    Non-increasing in lbar; at lbar = kbar it equals ``cutset_bound``.
-    """
     if not 0 <= lbar <= p.kbar:
         raise ParameterError(f"lbar={lbar} outside [0, kbar={p.kbar}]")
-    acc = (p.k - lbar) * alpha
-    for i in range(1, min(lbar, p.dbar) + 1):
-        acc += min((p.dbar - i + 1) * beta, alpha)
-    return acc
+    m = min(lbar, p.dbar)
+    # -alpha // beta is -ceil(alpha / beta), an int for ints and fractions alike
+    reach = 0 if beta == 0 else min(m, max(0, p.dbar + 1 + (-alpha // beta)))
+    rest = m - reach
+    series = rest * (2 * p.dbar - reach - m + 1) // 2
+    return (p.k - lbar) * alpha + reach * alpha + beta * series
 
 
 @dataclass(frozen=True)
@@ -174,9 +180,38 @@ def mbrr_point(p: SystemParams) -> TradeoffPoint:
     return point
 
 
+def tradeoff_points(p: SystemParams) -> list[TradeoffPoint]:
+    """The tradeoff extremes ``p`` has: the minimum-storage point always,
+    the minimum-bandwidth point when dbar >= 1."""
+    return [msrr_point(p), mbrr_point(p)] if p.dbar >= 1 else [msrr_point(p)]
+
+
 def overhead_pair(point: TradeoffPoint, p: SystemParams) -> tuple[Fraction, Fraction]:
     """(storage overhead n*alpha/B, cross-rack bandwidth overhead dbar*beta/alpha),
     both exact rationals."""
     storage = Fraction(p.n * point.alpha, point.B)
     bandwidth = Fraction(p.dbar * point.beta, point.alpha)
     return storage, bandwidth
+
+
+def sweep_table(
+    u: int,
+    n_minus_k: int,
+    nbars: Sequence[int],
+    dbars: Sequence[int],
+) -> tuple[list[tuple[SystemParams, TradeoffPoint]], list[str]]:
+    """Every (parameter set, tradeoff point) pair over a grid of (nbar, dbar)
+    cells with fixed rack size u and fault tolerance n - k, in grid order.
+    A cell that is no valid parameter set is skipped with a note."""
+    pairs: list[tuple[SystemParams, TradeoffPoint]] = []
+    notes: list[str] = []
+    for nbar in nbars:
+        for dbar in dbars:
+            n = nbar * u
+            try:
+                p = SystemParams(n=n, u=u, k=n - n_minus_k, dbar=dbar)
+            except ParameterError as exc:
+                notes.append(f"skipped nbar={nbar} dbar={dbar}: {exc}")
+                continue
+            pairs.extend((p, point) for point in tradeoff_points(p))
+    return pairs, notes

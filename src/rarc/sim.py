@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -21,15 +20,7 @@ from .bulk import repair_stripes
 from .errors import ParameterError
 from .mbrr import MbrrCode
 from .msrr import MsrrCode
-from .params import (
-    MBRR,
-    MSRR,
-    SystemParams,
-    check_helper_racks,
-    mbrr_point,
-    msrr_point,
-    overhead_pair,
-)
+from .params import check_helper_racks
 
 
 @dataclass(frozen=True)
@@ -51,10 +42,6 @@ class TrafficLog:
     @property
     def intra_rack_symbols(self) -> int:
         return self.intra_per_stripe * self.stripes
-
-    @property
-    def helper_racks_used(self) -> list[int]:
-        return list(self.helper_racks)
 
 
 @dataclass(frozen=True)
@@ -157,70 +144,8 @@ class Cluster:
         )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One (nbar, dbar, code) cell of an overhead sweep."""
-
-    nbar: int
-    dbar: int
-    code: str
-    n: int
-    k: int
-    alpha: int
-    beta: int
-    B: int
-    storage: Fraction
-    bandwidth: Fraction
-
-
-def sweep_table(
-    u: int,
-    n_minus_k: int,
-    nbars: Sequence[int],
-    dbars: Sequence[int],
-) -> tuple[list[SweepRow], list[str]]:
-    """Overhead pairs (n*alpha/B, dbar*beta/alpha) over a parameter grid with
-    fixed rack size and fault tolerance.  Invalid cells are skipped with a
-    note."""
-    rows: list[SweepRow] = []
-    notes: list[str] = []
-    for nbar in nbars:
-        for dbar in dbars:
-            n = nbar * u
-            k = n - n_minus_k
-            try:
-                p = SystemParams(n=n, u=u, k=k, dbar=dbar)
-            except ParameterError as exc:
-                notes.append(f"skipped nbar={nbar} dbar={dbar}: {exc}")
-                continue
-            points = [msrr_point(p)]
-            if dbar >= 1:
-                points.append(mbrr_point(p))
-            for point in points:
-                storage, bandwidth = overhead_pair(point, p)
-                rows.append(
-                    SweepRow(
-                        nbar=nbar,
-                        dbar=dbar,
-                        code=point.label,
-                        n=n,
-                        k=k,
-                        alpha=point.alpha,
-                        beta=point.beta,
-                        B=point.B,
-                        storage=storage,
-                        bandwidth=bandwidth,
-                    )
-                )
-    return rows, notes
-
-
 __all__ = [
     "Cluster",
     "RepairPolicy",
-    "SweepRow",
     "TrafficLog",
-    "sweep_table",
-    "MBRR",
-    "MSRR",
 ]

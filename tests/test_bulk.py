@@ -253,7 +253,7 @@ def test_cluster_scalar_and_batch_appliers_agree(cases):
         scalar, intra, cross = scalar_repair(code, failed, helpers, stored)
 
         assert cluster.node_data(idx) == batch[:, 0].tolist() == scalar == truth
-        assert log.helper_racks_used == helpers
+        assert list(log.helper_racks) == helpers
         assert (log.intra_rack_symbols, log.cross_rack_symbols) == (local.size, responses.size)
         assert (intra, cross) == (local.size, responses.size)
         assert (intra, cross) == ((p.u - 1) * code.alpha, p.dbar)

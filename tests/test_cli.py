@@ -9,10 +9,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rarc import bulk, cli
+from rarc import bulk, cli, selftest
 from rarc.cli import main
 from rarc.field import PrimeField
-from rarc.formats import EncodedFile, parse_encoded, parse_report, serialize_encoded
+from rarc.formats import (
+    EncodedFile,
+    format_thousandths,
+    parse_encoded,
+    parse_report,
+    serialize_encoded,
+)
 from rarc.msrr import MsrrCode
 from rarc.params import SystemParams
 from rarc.sim import Cluster, RepairPolicy
@@ -418,14 +424,38 @@ def test_reconstruct_rejects_symbols_no_payload_packs_to(tmp_path, capsys, p, st
 
 
 def test_table_default_grid_and_check(capsys):
-    rc, out, _ = run_cli(capsys, "table", "--check")
+    # the default grid prints the published cells; checking them is selftest's
+    rc, out, _ = run_cli(capsys, "table")
     assert rc == 0
     rows = [f for kind, f in parse_report(out) if kind == "table-row"]
     assert len(rows) == 15
     by_key = {(r["nbar"], r["dbar"], r["code"]): r for r in rows}
-    assert by_key[(10, 0, "msrr")]["storage_dec"] == "1.389"
-    assert by_key[(30, 8, "mbrr")]["storage_dec"] == "1.245"
+    assert set(by_key) == set(selftest.PUBLISHED_TABLE)
+    for key, (storage_pub, bandwidth_pub) in selftest.PUBLISHED_TABLE.items():
+        assert by_key[key]["storage_dec"] == format_thousandths(Fraction(storage_pub)), key
+        assert by_key[key]["bandwidth_dec"] == format_thousandths(Fraction(bandwidth_pub)), key
     assert by_key[(20, 4, "mbrr")]["storage"] == Fraction(200, 157)
+
+
+def test_table_check_option_is_gone(capsys):
+    rc, out, err = run_cli(capsys, "table", "--check")
+    assert rc == 1
+    assert "--check" in err
+    assert out == ""
+
+
+def test_table_near_the_header_limit_runs_in_closed_form(capsys):
+    # 300 cells with dbar near 2**16: each cut value is O(1), not O(dbar)
+    started = time.perf_counter()
+    rc, out, _ = run_cli(
+        capsys, "table", "--u", "2", "--nk", "1", "--nbar", "65535", "--dbar", "65235-65534"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert rc == 0
+    rows = [f for kind, f in parse_report(out) if kind == "table-row"]
+    assert len(rows) == 600
+    top = rows[-1]
+    assert (top["dbar"], top["code"], top["B"]) == (65534, "mbrr", 65535 * 65534 + 65534 * 65535 // 2)
 
 
 def test_table_single_cell(capsys):
@@ -451,8 +481,21 @@ def test_table_invalid_cell_noted(capsys):
 def test_selftest_passes(capsys):
     rc, out, _ = run_cli(capsys, "selftest", "--seed", "3")
     assert rc == 0
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == 3
     assert "FAIL" not in out
+
+
+def test_selftest_fails_on_a_published_pair_the_sweep_misses(capsys, monkeypatch):
+    cell = (20, 4, "mbrr")
+    table = dict(selftest.PUBLISHED_TABLE)
+    table[cell] = ("1.275", "1")  # one thousandth above the sweep's 200/157
+    monkeypatch.setattr(selftest, "PUBLISHED_TABLE", table)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 2
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL published-table:")
+    assert str(cell) in failed[0]
 
 
 def test_console_entry_point_runs():

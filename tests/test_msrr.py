@@ -15,9 +15,9 @@ from codec_oracle import check_matrix, minimum_distance, rank
 from codec_oracle import encode_column as encode
 
 
-def build(n, u, k, dbar, preference="prime", **kwargs):
+def build(n, u, k, dbar, preference="prime"):
     p = SystemParams(n=n, u=u, k=k, dbar=dbar)
-    return MsrrCode.build(p, make_field(n, u, preference), **kwargs)
+    return MsrrCode.build(p, make_field(n, u, preference))
 
 
 def random_message(code, rng):
@@ -303,7 +303,7 @@ def test_repair_local_requires_no_helpers():
 
 
 # ---------------------------------------------------------------------------
-# minimum distance and the step-down constructor flag
+# minimum distance and the step-down to k - 1
 # ---------------------------------------------------------------------------
 
 
@@ -314,21 +314,13 @@ def test_minimum_distance_local_code():
 
 def test_minimum_distance_step_down_reaches_better_bound():
     # u | k: building with k - 1 keeps the dimension but gains one distance
-    code = build(6, 2, 4, 0, step_down_aligned_k=True)
-    assert code.params.k == 3
-    assert code.B == 2  # dimension unchanged by the step-down
+    code = build(6, 2, 3, 0)
+    assert code.B == build(6, 2, 4, 0).B == 2  # dimension unchanged by the step-down
     assert minimum_distance(code) == 4  # n - k + 2 for the original k
 
 
 def test_minimum_distance_never_below_singleton_gap():
     assert minimum_distance(build(6, 2, 4, 1)) >= 3  # n - k + 1
-
-
-def test_step_down_flag_guards():
-    with pytest.raises(ParameterError):
-        build(6, 2, 4, 1, step_down_aligned_k=True)  # dbar != 0
-    with pytest.raises(ParameterError):
-        build(6, 3, 4, 0, step_down_aligned_k=True)  # u does not divide k
 
 
 def test_minimum_distance_guard_refuses_large_instances():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rarc.errors import ParameterError
 from rarc.params import (
@@ -12,6 +14,8 @@ from rarc.params import (
     mincut_profile,
     msrr_point,
     overhead_pair,
+    sweep_table,
+    tradeoff_points,
 )
 
 
@@ -89,6 +93,33 @@ def test_profile_non_increasing_sweep():
     p = SystemParams(n=6, u=2, k=4, dbar=1)
     values = [mincut_profile(p, 1, 1, l) for l in range(p.kbar + 1)]
     assert values == sorted(values, reverse=True)
+
+
+def termwise_cut(p, alpha, beta, lbar):
+    """The cut value summed term by term: the oracle for the closed form."""
+    acc = (p.k - lbar) * alpha
+    for i in range(1, min(lbar, p.dbar) + 1):
+        acc += min((p.dbar - i + 1) * beta, alpha)
+    return acc
+
+
+@st.composite
+def cut_case(draw):
+    u = draw(st.integers(2, 6))
+    nbar = draw(st.integers(2, 120))
+    k = draw(st.integers(u, nbar * u - 1))
+    p = SystemParams(n=nbar * u, u=u, k=k, dbar=draw(st.integers(0, min(k // u, nbar - 1))))
+    number = st.integers(0, 300) | st.fractions(0, 300, max_denominator=40)
+    alpha = draw(number.filter(lambda x: x > 0))
+    return p, alpha, draw(number), draw(st.integers(0, p.kbar))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cut_case())
+def test_closed_form_cut_equals_termwise_sum(case):
+    p, alpha, beta, lbar = case
+    assert mincut_profile(p, alpha, beta, lbar) == termwise_cut(p, alpha, beta, lbar)
+    assert cutset_bound(p, alpha, beta) == termwise_cut(p, alpha, beta, p.kbar)
 
 
 def test_profile_bounds_lbar():
@@ -176,7 +207,46 @@ def test_points_satisfy_bound_over_small_grid():
                         )
 
 
+def test_tradeoff_points_follow_dbar():
+    p0 = SystemParams(n=50, u=5, k=44, dbar=0)
+    assert tradeoff_points(p0) == [msrr_point(p0)]
+    p4 = SystemParams(n=50, u=5, k=44, dbar=4)
+    assert tradeoff_points(p4) == [msrr_point(p4), mbrr_point(p4)]
+
+
 def test_labels():
     p = SystemParams(n=8, u=2, k=5, dbar=1)
     assert msrr_point(p).label == MSRR
     assert mbrr_point(p).label == MBRR
+
+
+# ---------------------------------------------------------------------------
+# sweep table
+# ---------------------------------------------------------------------------
+
+
+def test_sweep_matches_published_first_row():
+    pairs, notes = sweep_table(5, 6, [10], [0, 4, 8])
+    assert not notes
+    table = {(p.dbar, point.label): overhead_pair(point, p) for p, point in pairs}
+    assert table[(0, MSRR)][0] == Fraction(50, 36)
+    assert table[(4, MSRR)][0] == Fraction(5, 4)
+    assert table[(4, MBRR)][0] == Fraction(200, 154)
+    assert table[(8, MSRR)][0] == Fraction(50, 44)
+    assert table[(8, MBRR)][0] == Fraction(400, 324)
+    assert all(bandwidth == 1 for (_, code), (_, bandwidth) in table.items() if code == MBRR)
+    assert table[(0, MSRR)][1] == 0
+
+
+def test_sweep_skips_invalid_cells_with_note():
+    pairs, notes = sweep_table(5, 6, [2], [8])  # n=10, k=4 < u: no full rack
+    assert pairs == []
+    assert len(notes) == 1 and "skipped" in notes[0]
+
+
+def test_sweep_cells_are_independent():
+    pairs_a, _ = sweep_table(5, 6, [10, 20], [0, 4])
+    pairs_b, _ = sweep_table(5, 6, [20, 10], [4, 0])
+    assert {(p, point, overhead_pair(point, p)) for p, point in pairs_a} == {
+        (p, point, overhead_pair(point, p)) for p, point in pairs_b
+    }

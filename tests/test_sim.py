@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from rarc.field import make_field
 from rarc.mbrr import MbrrCode
 from rarc.msrr import MsrrCode
 from rarc.params import SystemParams
-from rarc.sim import Cluster, RepairPolicy, TrafficLog, sweep_table
+from rarc.sim import Cluster, RepairPolicy, TrafficLog
 
 RNG = random.Random(211)
 
@@ -112,7 +111,7 @@ def test_scalar_code_traffic_counts():
     log = cluster.run_repair(RepairPolicy.lowest_index())
     assert log.cross_rack_symbols == 1
     assert log.intra_rack_symbols == 1
-    assert log.helper_racks_used == [0]
+    assert list(log.helper_racks) == [0]
 
 
 def test_array_code_traffic_counts():
@@ -121,7 +120,7 @@ def test_array_code_traffic_counts():
     log = cluster.run_repair(RepairPolicy.explicit([2, 4]))
     assert log.cross_rack_symbols == 2  # dbar * beta
     assert log.intra_rack_symbols == 2  # (u - 1) * alpha
-    assert log.helper_racks_used == [2, 4]
+    assert list(log.helper_racks) == [2, 4]
 
 
 def test_traffic_counts_derive_from_trace():
@@ -201,35 +200,3 @@ def test_conservation_across_all_nodes_and_policies():
             cluster.fail_node((e_star, g_star))
             cluster.run_repair(RepairPolicy.explicit([helper]))
             assert [cluster.node_data(i) for i in range(p.n)] == snapshot
-
-
-# ---------------------------------------------------------------------------
-# sweep table
-# ---------------------------------------------------------------------------
-
-
-def test_sweep_matches_published_first_row():
-    rows, notes = sweep_table(5, 6, [10], [0, 4, 8])
-    assert not notes
-    table = {(r.dbar, r.code): r for r in rows}
-    assert table[(0, "msrr")].storage == Fraction(50, 36)
-    assert table[(4, "msrr")].storage == Fraction(5, 4)
-    assert table[(4, "mbrr")].storage == Fraction(200, 154)
-    assert table[(8, "msrr")].storage == Fraction(50, 44)
-    assert table[(8, "mbrr")].storage == Fraction(400, 324)
-    assert all(r.bandwidth == 1 for r in rows if r.code == "mbrr")
-    assert table[(0, "msrr")].bandwidth == 0
-
-
-def test_sweep_skips_invalid_cells_with_note():
-    rows, notes = sweep_table(5, 6, [2], [8])  # kbar = 0 at nbar=2, n-k=6... k=4 < u
-    assert rows == []
-    assert len(notes) == 1 and "skipped" in notes[0]
-
-
-def test_sweep_cells_are_independent():
-    rows_a, _ = sweep_table(5, 6, [10, 20], [0, 4])
-    rows_b, _ = sweep_table(5, 6, [20, 10], [4, 0])
-    assert {(r.nbar, r.dbar, r.code, r.storage) for r in rows_a} == {
-        (r.nbar, r.dbar, r.code, r.storage) for r in rows_b
-    }
