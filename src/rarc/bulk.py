@@ -2,9 +2,9 @@
 
 The per-stripe operations of both codes are a handful of small linear
 maps that do not depend on the stripe contents.  Each code derives them
-and applies its generator and reconstruct maps itself
-(``encode_stripes``, ``reconstruct_stripes``).  This module keeps built
-codes, and with them their generators, for the life of the process, and
+and applies its encode and reconstruct maps itself (``encode_stripes``,
+``reconstruct_stripes``).  This module keeps built codes, and with them
+their fixed maps, for the life of the process, and
 holds the one code that applies a code's ``repair_maps`` to stored rows:
 ``repair_stripes``, which ``sim.Cluster.run_repair`` calls for the
 simulator and ``rarc repair`` alike.  Stripe matrices hold one stripe per

@@ -48,6 +48,13 @@ _PRIME_SLICE = 1 << 16
 #: wider ones (file stripes) walk the nonzero entries of each row instead.
 _GF256_NARROW = 64
 
+#: Widest stripe block both codes encode with one generator product.  Wider
+#: blocks (file stripes) go through the code's structure: the minimum-storage
+#: code copies its information rows and multiplies only its parity rows, the
+#: minimum-bandwidth code evaluates M * Lambda rack by rack.  On one stripe
+#: (``sim.Cluster.store``) their extra kernel calls cost more than they save.
+_ENCODE_NARROW = 64
+
 #: Products per pass of the GF(256) gather: 512 KiB of table indices once
 #: ``take`` widens them to intp.
 _GF256_GATHER = 1 << 16

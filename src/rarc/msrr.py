@@ -16,19 +16,23 @@ fixed arrays, which ``bulk.repair_stripes`` applies to the stored rows
 of a ``sim.Cluster``.
 
 ``build`` takes the parity set and the systematic generator from one row
-reduction of the check matrix.  Encoding applies the generator, and
-reconstruction a map built from one Vandermonde inverse, to a block of
-stripe columns; a single stripe is a one-column block.
+reduction of the check matrix.  Encoding copies a block of stripe
+columns into the information positions and applies the generator's
+parity rows (a block of at most ``_ENCODE_NARROW`` stripes, a single
+stripe among them, takes one product with the whole generator), and
+reconstruction applies a map built from one Vandermonde inverse; a
+single stripe is a one-column block.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParameterError, SingularSystemError, VerificationError
-from .field import _BUILD_BUDGET, FieldSpec, eval_points
+from .field import _BUILD_BUDGET, _ENCODE_NARROW, FieldSpec, eval_points
 from .linalg import (
     lagrange_eval_weights,
     lagrange_leading_weights,
@@ -109,11 +113,29 @@ class MsrrCode:
 
     # -- encoding ------------------------------------------------------------
 
+    @functools.cached_property
+    def parity_rows(self) -> np.ndarray:
+        """(|T| x B) the generator's rows on ``parity_set``, read-only."""
+        rows = self.generator[self.parity_set]
+        rows.setflags(write=False)
+        return rows
+
     def encode_stripes(self, data: np.ndarray) -> np.ndarray:
-        """Encode a (B x stripes) message block into (n x stripes) symbols."""
+        """Encode a (B x stripes) message block into (n x stripes) symbols.
+
+        Blocks of at most ``_ENCODE_NARROW`` stripes take one product with
+        the generator.  Wider blocks copy the message into ``info_set``,
+        where the generator's rows are the identity, and multiply only
+        its ``parity_rows``.
+        """
         if data.shape[0] != self.B:
             raise ParameterError(f"message block must have {self.B} rows")
-        return self.field.np_matmul(self.generator, data)
+        if data.shape[1] <= _ENCODE_NARROW:
+            return self.field.np_matmul(self.generator, data)
+        out = np.empty((self.params.n, data.shape[1]), dtype=self.field.np_dtype)
+        out[self.info_set] = data
+        out[self.parity_set] = self.field.np_matmul(self.parity_rows, data)
+        return out
 
     # -- reconstruction --------------------------------------------------------
 
@@ -124,9 +146,12 @@ class MsrrCode:
         exponents include 0 ... n - k - 1 and at most n - k nodes are
         erased, so the first |E| check rows on the erased columns E are the
         transposed Vandermonde matrix V on their points: the erased symbols
-        are -(V^-1)^T times those rows' syndrome of the given symbols.  The
-        filled codewords are re-checked against every parity row;
-        inconsistent stripes raise.
+        are -(V^-1)^T times those rows' syndrome of the given symbols.  That
+        fill zeroes those |E| check rows exactly, so the filled codewords
+        are re-checked against the check rows the solve left open;
+        inconsistent stripes raise.  With kbar = dbar and exactly k nodes
+        given, |E| = |T| and no row is left: then B = k, so any k symbols
+        are those of exactly one codeword and there is nothing to check.
         """
         p = self.params
         F = self.field
@@ -141,7 +166,7 @@ class MsrrCode:
             vinv = vandermonde_inverse(F, [self.lam[c] for c in erased])
             syndrome = F.np_matmul(self.checks[: len(erased), nodes], symbols)
             full[erased] = F.np_neg(F.np_matmul(vinv.T, syndrome))
-        if F.np_matmul(self.checks, full).any():
+        if F.np_matmul(self.checks[len(erased) :], full).any():
             raise VerificationError("stripe fails its parity checks")
         return full[self.info_set]
 

@@ -96,8 +96,9 @@ class Cluster:
         self.failed: tuple[int, int] | None = None
 
     def store(self, data: Sequence[int]) -> "Cluster":
-        """Encode B payload symbols as one stripe column through the code's
-        generator and place alpha symbols on every node."""
+        """Encode B payload symbols as one stripe column, which
+        ``encode_stripes`` multiplies by the code's generator, and place
+        alpha symbols on every node."""
         code = self.code
         if self.failed is not None:
             raise ParameterError("repair the pending failure before restoring")

@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rarc import bulk
+from rarc import mbrr as mbrr_module
 from rarc.errors import ParameterError, VerificationError
-from rarc.field import Gf256Field, PrimeField, field_from_descriptor, make_field
+from rarc.field import (
+    _ENCODE_NARROW,
+    Gf256Field,
+    PrimeField,
+    field_from_descriptor,
+    make_field,
+)
 from rarc.mbrr import MbrrCode
 from rarc.msrr import MsrrCode
 from rarc.params import MBRR, MSRR, SystemParams
@@ -317,7 +324,9 @@ def test_cached_arrays_are_read_only():
     gens = [msrr.generator, mbrr.generator]
     assert msrr.generator is gens[0]
     assert mbrr.generator is gens[1]
-    for arr in gens + [msrr.checks, field._mul_table]:
+    gather, weights, twiddle = mbrr.rack_maps
+    assert msrr.parity_rows is msrr.parity_rows and mbrr.rack_maps[0] is gather
+    for arr in gens + [msrr.checks, msrr.parity_rows, gather, twiddle, field._mul_table] + weights:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1
@@ -403,3 +412,71 @@ def test_bulk_encode_columns_match_scalar_encode(case):
             C = mbrr_encode(code, pack_message(p, stripe))
             expected = [C.at(i, node) for node in range(p.n) for i in range(p.dbar)]
         assert body[:, s].tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# encode routes: the generator product is the oracle for the wide routes
+# ---------------------------------------------------------------------------
+
+# the two production shapes, then GF(13) shapes with u0 > 0 at dbar = 1
+# and at dbar = kbar, where no boundary column of M is structurally zero
+ROUTE_PARAMS = [
+    (SystemParams(n=50, u=5, k=44, dbar=4), Gf256Field(5)),
+    (SystemParams(n=132, u=4, k=120, dbar=4), PrimeField(137, 4)),
+    (SystemParams(n=12, u=4, k=10, dbar=2), PrimeField(13, 4)),
+    (SystemParams(n=12, u=4, k=9, dbar=1), PrimeField(13, 4)),
+]
+ROUTE_CODES = [
+    bulk.build_code(code_type, p, f) for p, f in ROUTE_PARAMS for code_type in (MSRR, MBRR)
+]
+# either side of field._ENCODE_NARROW, and the widths around them
+ROUTE_WIDTHS = st.one_of(
+    st.sampled_from([0, 1, _ENCODE_NARROW, _ENCODE_NARROW + 1]), st.integers(2, 80)
+)
+
+
+def route_block(code, width, seed, extremes, transposed):
+    """A (B x width) data block: uniform symbols, or only 0, 1 and q - 1;
+    laid out stripe-major (a transposed view, as ``rarc encode`` passes
+    it) or row-major."""
+    rng = np.random.default_rng(seed)
+    q = code.field.q
+    if extremes:
+        values = rng.choice(np.array([0, 1, q - 1]), size=(width, code.B))
+    else:
+        values = rng.integers(0, q, size=(width, code.B))
+    block = values.astype(code.field.np_dtype).T
+    return block if transposed else np.ascontiguousarray(block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ROUTE_CODES),
+    ROUTE_WIDTHS,
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+def test_encode_routes_equal_the_generator_product(code, width, seed, extremes, transposed):
+    data = route_block(code, width, seed, extremes, transposed)
+    got = code.encode_stripes(data)
+    assert got.dtype == code.field.np_dtype
+    assert got.shape == (code.params.n * code.alpha, width)
+    assert np.array_equal(got, code.field.np_matmul(code.generator, data))
+
+
+ROUTE_MBRR = [c for c in ROUTE_CODES if c.code_type == MBRR]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize(
+    "code", ROUTE_MBRR, ids=[f"n{c.params.n}-k{c.params.k}-d{c.params.dbar}" for c in ROUTE_MBRR]
+)
+def test_mbrr_encode_passes_match_one_pass(code, block):
+    # 65 and 71 stripes end with a partial pass for every block size,
+    # 70 fills its last pass of 7 exactly
+    for width in (_ENCODE_NARROW + 1, 70, 71):
+        data = route_block(code, width, width, False, True)
+        with mock.patch.object(mbrr_module, "_ENCODE_BLOCK", block):
+            passes = code.encode_stripes(data)
+        assert np.array_equal(passes, code.field.np_matmul(code.generator, data))

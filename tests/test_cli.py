@@ -1,4 +1,6 @@
+import hashlib
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import pytest
 
 from rarc import bulk, cli, selftest
 from rarc.cli import main
-from rarc.field import PrimeField
+from rarc.field import _ENCODE_NARROW, PrimeField
 from rarc.formats import (
     EncodedFile,
     format_thousandths,
@@ -142,6 +144,37 @@ def test_encode_is_deterministic(tmp_path, capsys):
         )
         assert rc == 0
     assert enc1.read_bytes() == enc2.read_bytes()
+
+
+# SHA-256 of the encoded file of random.Random(14).randbytes(size): a
+# narrow payload (at most 64 stripes, one generator product) and a wide one
+# (the structured route) per code and production shape
+ENCODED_SHA256 = {
+    ("msrr", "50 5 44 4", 2000): "36b6a1c9b3e087280e3400815b1d44b79cd429d4aff91cba8272cf737902e42c",
+    ("msrr", "50 5 44 4", 100000): "6cb88f08032ee26895b9e8d8707e2d4333f1e36446c9e2ec9cde78e06ff88de8",
+    ("mbrr", "50 5 44 4", 2000): "6f916e4add4a40ecee423b1b4320973f08aa043cae267d0b81307ceaa41763b7",
+    ("mbrr", "50 5 44 4", 100000): "d2b01da17905a3033045c9dae69e57b4e7995f87f753f8499bddf9bb3bd80edf",
+    ("msrr", "132 4 120 4", 2000): "8f61414325f4288e78c957abe5c23da211f09679b42e0127c1549286982067cd",
+    ("msrr", "132 4 120 4", 100000): "71209c1bcc633551340732b9711003b25a28d44fbc632e82737db27960806646",
+    ("mbrr", "132 4 120 4", 2000): "2617c6fca94cabf596ffb2e21ee3e42e31b3a482313b62890f990ef16bdc7dbd",
+    ("mbrr", "132 4 120 4", 100000): "23bb8efac88f4cc3a6d15b94301e465dbd1c87bb439066d84bac353ad24b26b3",
+}
+
+
+@pytest.mark.parametrize("code,shape,size", list(ENCODED_SHA256))
+def test_encoded_bytes_are_pinned(tmp_path, capsys, code, shape, size):
+    n, u, k, d = shape.split()
+    src, enc = tmp_path / "payload.bin", tmp_path / "data.rarc"
+    src.write_bytes(random.Random(14).randbytes(size))
+    rc, _, _ = run_cli(
+        capsys,
+        "encode", "--code", code, "--n", n, "--u", u, "--k", k, "--d", d, str(src), str(enc),
+    )
+    assert rc == 0
+    encoded = enc.read_bytes()
+    assert hashlib.sha256(encoded).hexdigest() == ENCODED_SHA256[code, shape, size]
+    stripes = parse_encoded(encoded).body.shape[0]
+    assert (stripes <= _ENCODE_NARROW) == (size == 2000)
 
 
 def test_repair_policies_and_seeded_randomness(tmp_path, capsys):

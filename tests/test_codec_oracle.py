@@ -109,6 +109,38 @@ def test_mbrr_scalar_routes_equal_oracle(data):
         assert got == message
 
 
+# u0 > 0 at dbar = 1, and at dbar = kbar, where exactly k given nodes erase
+# |T| columns and no check row is left over
+CHECK_ROW_CODES = MSRR_CODES + [
+    MsrrCode.build(SystemParams(n=12, u=4, k=10, dbar=2), GF13),
+    MsrrCode.build(SystemParams(n=12, u=4, k=9, dbar=1), GF13),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_msrr_block_reconstruct_equals_oracle_stripe_by_stripe(data):
+    code = data.draw(st.sampled_from(CHECK_ROW_CODES))
+    F = code.field
+    stripes = data.draw(st.integers(1, 3))
+    messages = [data.draw(symbols(code, code.B)) for _ in range(stripes)]
+    body = code.encode_stripes(F.symbol_array(messages).T).copy()
+    nodes, damaged = data.draw(node_set(code))
+    if damaged is not None:
+        stripe = data.draw(st.integers(0, stripes - 1))
+        delta = data.draw(st.integers(1, F.q - 1))
+        body[damaged, stripe] = F.add(int(body[damaged, stripe]), delta)
+    expected = [
+        outcome(oracle.msrr_reconstruct, code, [(i, int(body[i, s])) for i in nodes])
+        for s in range(stripes)
+    ]
+    got = outcome(lambda: code.reconstruct_stripes(nodes, body[nodes]).T.tolist())
+    if any(e in FAILURES for e in expected):
+        assert got is VerificationError
+    else:
+        assert got == expected
+
+
 def test_mbrr_encode_of_an_unstructured_matrix_is_m_times_lambda():
     code = MBRR_CODES[2]
     p = code.params
