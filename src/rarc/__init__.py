@@ -19,7 +19,6 @@ from .field import (
     make_field,
     multiplicative_order,
 )
-from .linalg import lagrange_leading_weights
 from .mbrr import MbrrCode, message_size
 from .msrr import MsrrCode
 from .params import (
@@ -58,7 +57,6 @@ __all__ = [
     "derive_eta",
     "eval_points",
     "find_primitive",
-    "lagrange_leading_weights",
     "make_field",
     "mbrr_point",
     "message_size",

@@ -117,10 +117,8 @@ def find_primitive(field) -> int:
     raise ParameterError("no primitive element found; arithmetic is broken")
 
 
-def derive_eta(field, u: int | None = None) -> int:
+def derive_eta(field, u: int) -> int:
     """xi**((q-1)/u), verified to have multiplicative order exactly u."""
-    if u is None:
-        u = field.u
     if u < 1 or (field.q - 1) % u != 0:
         raise ParameterError(f"u={u} does not divide q-1={field.q - 1}")
     eta = field.pow(field.xi, (field.q - 1) // u)

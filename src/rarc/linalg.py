@@ -1,11 +1,12 @@
 """Exact dense linear algebra over a finite field.
 
-Codes derive their fixed linear maps with the routines here: one
-vectorized row reduction at build time, the Vandermonde inverse, and
-Lagrange weights.  All arithmetic is exact; results substitute back into
-their systems with equality, never within a tolerance.  The maps are
-ndarrays and are applied with ``FieldSpec.np_matmul``; the per-symbol
-matrix routes they replaced live on only as the tests' oracle.
+Codes derive the fixed linear maps that need a solve with the two
+routines here: one vectorized row reduction at build time and the
+Vandermonde inverse.  All arithmetic is exact; results substitute back
+into their systems with equality, never within a tolerance.  The maps
+are ndarrays and are applied with ``FieldSpec.np_matmul``; the
+per-symbol matrix routes and Lagrange weights they replaced live on only
+as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ def row_reduce(F, A) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
-def _check_points(points: Sequence[int]) -> None:
-    if len(set(points)) != len(points):
-        raise SingularSystemError("duplicate interpolation points")
-
-
 def vandermonde_inverse(F, points: Sequence[int]) -> np.ndarray:
     """Inverse of the m x m Vandermonde matrix V[i][j] = points[i]**j.
 
@@ -62,7 +58,8 @@ def vandermonde_inverse(F, points: Sequence[int]) -> np.ndarray:
     O(m) elementwise array steps over all points, exact, and returned as
     an array of ``F.np_dtype``.
     """
-    _check_points(points)
+    if len(set(points)) != len(points):
+        raise SingularSystemError("duplicate interpolation points")
     m = len(points)
     x = np.array(points, dtype=F.np_dtype)
     neg = F.np_neg(x)
@@ -88,36 +85,3 @@ def vandermonde_inverse(F, points: Sequence[int]) -> np.ndarray:
         diff = np.concatenate([paired, diff[:, 2 * half :]], axis=1)
     scale = np.array([F.inv(d) for d in diff[:, :1].ravel().tolist()], dtype=F.np_dtype)
     return F.np_mul(num, scale[None, :])
-
-
-def lagrange_leading_weights(F, points: Sequence[int]) -> list[int]:
-    """Per-point weights w_g = 1 / prod_{g' != g} (x_g - x_{g'}).
-
-    The leading coefficient of the interpolating polynomial is
-    ``sum_g y_g * w_g``, so a holder of the y values can produce it as a
-    single linear combination of what it stores.
-    """
-    _check_points(points)
-    weights = []
-    for i, xi in enumerate(points):
-        prod = 1
-        for j, xj in enumerate(points):
-            if j != i:
-                prod = F.mul(prod, F.sub(xi, xj))
-        weights.append(F.inv(prod))
-    return weights
-
-
-def lagrange_eval_weights(F, points: Sequence[int], x0: int) -> list[int]:
-    """Weights L_g(x0) with interp(x0) = sum_g y_g * L_g(x0)."""
-    _check_points(points)
-    out = []
-    for i, xi in enumerate(points):
-        num, den = 1, 1
-        for j, xj in enumerate(points):
-            if j != i:
-                num = F.mul(num, F.sub(x0, xj))
-                den = F.mul(den, F.sub(xi, xj))
-        out.append(F.div(num, den))
-    return out
-

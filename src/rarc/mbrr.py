@@ -11,11 +11,13 @@ Within rack e the stored columns agree with dbar polynomials of degree
 at most u - 1 whose leading coefficients form the vector h_e = S * v_e,
 v_e the Vandermonde column at xi**(e*u).  Symmetry of S lets a helper
 rack hand the failed rack one inner product of its own leading vector;
-dbar such responses pin down h_{e*}, after which each per-rack polynomial
-is re-interpolated from the u - 1 surviving columns plus its now-known
-leading coefficient.  ``MbrrCode.repair_maps`` writes that repair as two
-fixed arrays, which ``bulk.repair_stripes`` applies to the stored rows of
-a ``sim.Cluster``.
+dbar such responses pin down h_{e*}.  The u points of rack e are the roots
+of X**u - xi**(e*u), so h_e is one fixed combination sum_g w_{e,g} * y_g
+of the rack's columns y_g, w_{e,g} = lam[(e,g)] / (u * xi**(e*u)); the
+failed column is h_{e*} less the surviving columns' share, divided by its
+own weight.  ``MbrrCode.repair_maps`` writes that repair as two fixed
+arrays, which ``bulk.repair_stripes`` applies to the stored rows of a
+``sim.Cluster``.
 
 ``cell_layout`` is the one description of where the data symbols sit in
 M; the generator, the rack-by-rack encoder and the reconstruct structure
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import ParameterError, VerificationError
 from .field import _BUILD_BUDGET, _ENCODE_NARROW, FieldSpec, eval_points
-from .linalg import lagrange_eval_weights, lagrange_leading_weights, vandermonde_inverse
+from .linalg import vandermonde_inverse
 from .params import SystemParams, check_helper_racks, check_node_set
 
 #: Message layouts kept per process, one per SystemParams.
@@ -129,13 +131,15 @@ class MbrrCode:
             [[field.pow(x, i) for i in range(params.dbar)] for x in self.rack_points],
             dtype=field.np_dtype,
         )
-        # (nbar x u): row e reads the leading coefficient off rack e's u points
-        self.leading_weights = np.array(
-            [
-                lagrange_leading_weights(field, lam[e * params.u : (e + 1) * params.u])
-                for e in range(params.nbar)
-            ],
-            dtype=field.np_dtype,
+        # (nbar x u): row e reads the leading coefficient off rack e's u points,
+        # w_{e,g} = 1 / prod_{g' != g} (lam_g - lam_g') = lam_{e,g} / (u * x_e),
+        # since those points are the roots of X**u - x_e.  u * 1 is u itself in
+        # GF(p) and 1 in GF(256), where u divides 255 and so is odd.
+        unit = 1 if field.kind == "gf256" else params.u
+        scale = [field.inv(field.mul(unit, x)) for x in self.rack_points]
+        self.leading_weights = field.np_mul(
+            np.array(lam, dtype=field.np_dtype).reshape(params.nbar, params.u),
+            np.array(scale, dtype=field.np_dtype)[:, None],
         )
         for arr in (self.rack_powers, self.leading_weights):
             arr.setflags(write=False)
@@ -284,28 +288,23 @@ class MbrrCode:
         responses.  The responses are evaluations of the polynomial with
         coefficient vector h_{e*} at the helpers' rack points (symmetry of
         the block S swaps the roles of helper and failed rack), so
-        h_{e*} = V^-1 * responses; row i of the failed column is then the
-        local polynomial through the u - 1 surviving values with leading
-        coefficient h_{e*}[i], evaluated at the failed point:
-        sum_g L_g(lam*) * y_g + c * h_{e*}[i] with
-        c = lam*^(u-1) - sum_g L_g(lam*) * x_g^(u-1).
+        h_{e*} = V^-1 * responses.  That vector is also sum_g w_g * y_g over
+        the failed rack's columns y_g, with w = ``leading_weights[e*]``, so
+        y_{g*} = (h_{e*} - sum_{g != g*} w_g * y_g) / w_{g*}.
         """
         p = self.params
         F = self.field
         d = p.dbar
         e_star, g_star = failed
-        target = self.lam[p.node_index(e_star, g_star)]  # bounds-checks the failed node
+        p.node_index(e_star, g_star)  # bounds check
         helper_racks = check_helper_racks(e_star, helper_racks, p.nbar, d)
-        local_pts = [self.lam[p.node_index(e_star, g)] for g in range(p.u) if g != g_star]
-        eval_w = lagrange_eval_weights(F, local_pts, target)
-        c = F.pow(target, p.u - 1)
-        for w, x in zip(eval_w, local_pts):
-            c = F.sub(c, F.mul(w, F.pow(x, p.u - 1)))
-        # row i reads L_s(lam*) at local column s*dbar + i: eval_w Kronecker I,
-        # exact in integers because I holds only 0 and 1
-        weights = np.array(eval_w, dtype=F.np_dtype)[:, None]
+        w = self.leading_weights[e_star]
+        scale = F.inv(int(w[g_star]))
+        # row i reads -w_s / w_{g*} at local column s*dbar + i: that vector
+        # Kronecker I, exact in integers because I holds only 0 and 1
+        weights = F.np_mul(F.np_neg(np.delete(w, g_star)), scale)[:, None]
         local = (np.eye(d, dtype=F.np_dtype)[:, None, :] * weights).reshape(d, -1)
-        responses = F.np_mul(c, self._helper_inverse(tuple(helper_racks)))
+        responses = F.np_mul(scale, self._helper_inverse(tuple(helper_racks)))
         rebuild = np.concatenate([local, responses], axis=1)
         return self._helper_rows(helper_racks, e_star), rebuild
 

@@ -10,10 +10,11 @@ of exponents makes the code a subcode of a generalized Reed-Solomon code,
 so any k nodes recover the message; the stride-u block forces the per-rack
 symbol sums to lie in a dimension-dbar MDS code over the points
 ``xi**(e*u)``, so one aggregate symbol from each of any dbar helper racks
-pins down the failed rack's sum, and the missing symbol follows from the
-u - 1 local symbols.  ``MsrrCode.repair_maps`` writes that repair as two
-fixed arrays, which ``bulk.repair_stripes`` applies to the stored rows
-of a ``sim.Cluster``.
+pins down the failed rack's sum: a check polynomial vanishing on every
+other rack gives it as a fixed combination of the helpers' sums, with no
+solve.  The missing symbol follows from the u - 1 local symbols.
+``MsrrCode.repair_maps`` writes that repair as two fixed arrays, which
+``bulk.repair_stripes`` applies to the stored rows of a ``sim.Cluster``.
 
 ``build`` takes the parity set and the systematic generator from one row
 reduction of the check matrix.  Encoding copies a block of stripe
@@ -33,12 +34,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularSystemError, VerificationError
 from .field import _BUILD_BUDGET, _ENCODE_NARROW, FieldSpec, eval_points
-from .linalg import (
-    lagrange_eval_weights,
-    lagrange_leading_weights,
-    row_reduce,
-    vandermonde_inverse,
-)
+from .linalg import row_reduce, vandermonde_inverse
 from .params import SystemParams, check_helper_racks, check_node_set
 
 def check_exponents(p: SystemParams) -> list[int]:
@@ -66,8 +62,6 @@ class MsrrCode:
         self.parity_set = parity_set
         self.generator = generator  # (n x B) codeword = G @ message, read-only
         self.rack_points = [field.pow(field.xi, e * params.u) for e in range(params.nbar)]
-        # v_e = 1 / prod_{e' != e} (x_e - x_e'): the rack sums are v_e * f(x_e), deg f < dbar
-        self.rack_weights = lagrange_leading_weights(field, self.rack_points)
 
     @classmethod
     def build(cls, params: SystemParams, field: FieldSpec) -> "MsrrCode":
@@ -190,20 +184,27 @@ class MsrrCode:
         applies to its own u symbols: all ones, the rack sum.  The second
         map is the 1 x (u - 1 + dbar) rebuild row applied to the local
         symbols followed by the responses.  The checks with exponents i*u,
-        i < nbar - dbar, read sum_e x_e**i * s_e = 0 for the rack sums s_e
-        at x_e = xi**(e*u), so s_e = v_e * f(x_e) with deg f < dbar, and
-        interpolating f through the helpers gives the rack sum of e* as
-        sum_h gamma_h * s_h, gamma_h = (v_e* / v_h) * L_h(x_e*).  The
-        failed symbol is that sum minus the local symbols.
+        i < nbar - dbar, read sum_e Q(x_e) * s_e = 0 for the rack sums s_e
+        at x_e = xi**(e*u) and every Q of degree below nbar - dbar.  Take
+        P(X) = prod (X - x_e) over the racks outside the helpers and e*: it
+        vanishes on every other rack, so the rack sum of e* is
+        sum_h gamma_h * s_h with gamma_h = -P(x_h) / P(x_e*).  The failed
+        symbol is that sum minus the local symbols.
         """
         p = self.params
         F = self.field
         e_star = failed[0]
         p.node_index(*failed)  # bounds check
         helper_racks = check_helper_racks(e_star, helper_racks, p.nbar, p.dbar)
-        x, v = self.rack_points, self.rack_weights
-        lagrange = lagrange_eval_weights(F, [x[h] for h in helper_racks], x[e_star])
-        gammas = [F.mul(F.div(v[e_star], v[h]), w) for h, w in zip(helper_racks, lagrange)]
+        x = self.rack_points
+        skip = {e_star, *helper_racks}
+        outside = [x[e] for e in range(p.nbar) if e not in skip]
+
+        def check_poly(t):
+            return functools.reduce(F.mul, [F.sub(t, xe) for xe in outside], 1)
+
+        scale = F.neg(F.inv(check_poly(x[e_star])))
+        gammas = [F.mul(scale, check_poly(x[h])) for h in helper_racks]
         helper = np.ones((p.dbar, p.u), dtype=F.np_dtype)
         rebuild = np.array([[F.neg(1)] * (p.u - 1) + gammas], dtype=F.np_dtype)
         return helper, rebuild

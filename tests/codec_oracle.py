@@ -10,8 +10,8 @@ Python:
 - a dense row-major ``Matrix`` of plain ints, per-symbol products, exact
   Gaussian elimination, the rank it reports, inversion, and a
   left-to-right independence sweep;
-- Lagrange synthesis, O(m^2) field operations per interpolation or
-  Vandermonde inverse;
+- Lagrange synthesis, O(m^2) field operations per interpolation,
+  Vandermonde inverse or set of leading weights;
 - minimum storage: the parity positions as the linear map
   ``enc = -(H_P^-1 H_I)`` of the message, and reconstruction by solving
   every check row restricted to the erased columns, then re-checking the
@@ -33,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from rarc.errors import ParameterError, SingularSystemError, VerificationError
-from rarc.linalg import _check_points
 from rarc.mbrr import cell_layout, j1_columns, message_size
 
 #: Enumeration guard for brute-force distance scans.
@@ -276,6 +275,30 @@ def gaussian_solve(F, A, b):
     return [aug[i][A.cols] for i in range(A.cols)]
 
 
+def _check_points(points):
+    if len(set(points)) != len(points):
+        raise SingularSystemError("duplicate interpolation points")
+
+
+def lagrange_leading_weights(F, points):
+    """Per-point weights w_g = 1 / prod_{g' != g} (x_g - x_{g'}), one
+    product per point.
+
+    The leading coefficient of the interpolating polynomial is
+    ``sum_g y_g * w_g``, so a holder of the y values can produce it as a
+    single linear combination of what it stores.
+    """
+    _check_points(points)
+    weights = []
+    for i, xi in enumerate(points):
+        prod = 1
+        for j, xj in enumerate(points):
+            if j != i:
+                prod = F.mul(prod, F.sub(xi, xj))
+        weights.append(F.inv(prod))
+    return weights
+
+
 def _lagrange_numerators(F, points):
     """Yield (num, den) per point: num lists the coefficients of
     prod_{j != i} (X - x_j), lowest degree first, and den = num(x_i)."""
@@ -485,9 +508,12 @@ def local_polys(code, e, M) -> np.ndarray:
 
 def leading_vector_from_storage(code, e, columns) -> list[int]:
     """Leading coefficients of the rack-local polynomials, computed from
-    the u stored columns alone (no message access)."""
-    block = code.field.symbol_array(columns)  # (u x dbar)
-    return code.field.np_matmul(code.leading_weights[e : e + 1], block)[0].tolist()
+    the u stored columns alone (no message access), with the per-point
+    weights of the rack's points rather than the code's own."""
+    F = code.field
+    u = code.params.u
+    weights = F.symbol_array([lagrange_leading_weights(F, code.lam[e * u : (e + 1) * u])])
+    return F.np_matmul(weights, F.symbol_array(columns))[0].tolist()
 
 
 def mbr_codeword_check(code, M, C) -> bool:

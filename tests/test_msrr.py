@@ -263,6 +263,16 @@ def test_repair_with_every_other_rack_helping():
     assert cluster_repair(code, cw, (0, 1), [1, 2, 3]) == cw[1]
 
 
+def test_rebuild_row_with_every_other_rack_helping_is_all_minus_one():
+    # at dbar = nbar - 1 the one stride-u check is exponent 0, the sum of all
+    # symbols: the failed symbol is minus every local symbol and helper rack sum
+    code = build(12, 4, 9, 2)  # GF(13), nbar = 3
+    for failed, helpers in [((0, 1), [1, 2]), ((2, 3), [1, 0])]:
+        helper, rebuild = code.repair_maps(failed, helpers)
+        assert helper.tolist() == [[1] * 4] * 2
+        assert rebuild.tolist() == [[12] * 5]
+
+
 def test_repair_validations():
     code = build(6, 2, 4, 1)
     cw = [1, 2, 3, 4, 5, 6]
