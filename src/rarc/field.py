@@ -45,7 +45,8 @@ _BUILD_BUDGET = 1 << 22
 _PRIME_SLICE = 1 << 16
 
 #: Widest right-hand side the GF(256) matmul multiplies by one table gather;
-#: wider ones (file stripes) walk the nonzero entries of each row instead.
+#: wider ones (file stripes) go through the bit-sliced kernel, eight
+#: symbols per uint64 word.
 _GF256_NARROW = 64
 
 #: Widest stripe block both codes encode with one generator product.  Wider
@@ -280,19 +281,39 @@ class Gf256Field(FieldSpec):
         b = np.asarray(b, dtype=np.uint8)
         if b.shape[1] <= _GF256_NARROW:
             return self._gather_matmul(a, b)
-        # Walk only the nonzero entries of each row of ``a``: a 1 is a plain
-        # XOR of the matching row of ``b``, any other constant c one lookup
-        # in the product-table row of c.
-        b = np.ascontiguousarray(b)
-        table = self._mul_table
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-        for acc, row in zip(out, a.tolist()):
-            for j, c in enumerate(row):
-                if c == 1:
-                    np.bitwise_xor(acc, b[j], out=acc)
-                elif c:
-                    np.bitwise_xor(acc, table[c].take(b[j]), out=acc)
-        return out
+        return self._bitsliced_matmul(a, b)
+
+    def _bitsliced_matmul(self, a, b):
+        # Multiplying by a constant is GF(2)-linear, so the rows of ``b`` are
+        # read as uint64 words of eight symbols and a[r, j] * b[j] runs by
+        # Horner over the bits of a[r, j], top bit first: XOR in every b[j]
+        # whose a[r, j] has the current bit set, then multiply the whole
+        # accumulator by x in every byte lane at once (Anvin, "The
+        # mathematics of RAID-6", 2007).
+        n = b.shape[1]
+        if n % 8 or not b.flags.c_contiguous:
+            padded = np.zeros((b.shape[0], -(-n // 8) * 8), dtype=np.uint8)
+            padded[:, :n] = b
+            b = padded
+        words = list(b.view(np.uint64))
+        acc = np.zeros((a.shape[0], b.shape[1] // 8), dtype=np.uint64)
+        rows = list(acc)
+        carry = np.empty_like(acc)
+        low = np.uint64(0x0101010101010101)
+        high = np.uint64(0xFEFEFEFEFEFEFEFE)
+        reduce = np.uint64(GF256_MODULUS & 0xFF)
+        top = int(a.max(initial=0)).bit_length()
+        for bit in range(top - 1, -1, -1):
+            for r, j in np.argwhere((a >> bit) & 1).tolist():
+                np.bitwise_xor(rows[r], words[j], out=rows[r])
+            if bit:
+                np.right_shift(acc, 7, out=carry)
+                carry &= low
+                carry *= reduce
+                acc <<= 1
+                acc &= high
+                acc ^= carry
+        return acc.view(np.uint8)[:, :n]
 
     def _gather_matmul(self, a, b):
         # Every product a[r, j] * b[j, c] is one lookup in the flattened

@@ -280,8 +280,10 @@ KERNEL_FIELDS = [Gf256Field(5), PrimeField(131, 2), PrimeField(137, 4), PrimeFie
 
 
 # GF(256) multiplies up to _GF256_NARROW columns by one table gather and
-# walks the rows of wider ones
-WIDTHS = st.one_of(st.integers(0, 7), st.sampled_from([_GF256_NARROW, _GF256_NARROW + 1]))
+# wider ones in uint64 words: 72 columns are read in place, 65 are padded
+WIDTHS = st.one_of(
+    st.integers(0, 7), st.sampled_from([_GF256_NARROW, _GF256_NARROW + 1, _GF256_NARROW + 8])
+)
 
 
 @st.composite
@@ -322,10 +324,42 @@ def test_np_matmul_matches_scalar_triple_loop(case):
 
 @settings(max_examples=60, deadline=None)
 @given(matmul_case(KERNEL_FIELDS[:1], st.integers(0, 7)), st.integers(1, 40))
-def test_gf256_gather_in_row_blocks_matches_row_walk(case, gather):
+def test_gf256_gather_in_row_blocks_matches_wide_kernel(case, gather):
     f, a, b = case
-    # padding b past _GF256_NARROW columns sends it down the row walk
+    # padding b past _GF256_NARROW columns sends it through the wide kernel
     walked = f.np_matmul(a, np.concatenate([b, np.zeros((b.shape[0], _GF256_NARROW), np.uint8)], 1))
     with mock.patch.object(field_module, "_GF256_GATHER", gather):
         got = f.np_matmul(a, b)
     assert got.tolist() == walked[:, : b.shape[1]].tolist()
+
+
+@pytest.mark.parametrize("width", [256, 259])
+def test_gf256_wide_kernel_every_product(width):
+    # 256 columns are read as uint64 words in place, 259 through the padded copy
+    f = KERNEL_FIELDS[0]
+    row = np.arange(width) % 256
+    got = f.np_matmul(np.arange(256, dtype=np.uint8)[:, None], row.astype(np.uint8)[None, :])
+    assert got.tolist() == f._mul_table[:, row].tolist()
+    assert got.tolist() == [[f.mul(c, int(x)) for x in row] for c in range(256)]
+
+
+@pytest.mark.parametrize("layout", ["column slice", "transposed"])
+@pytest.mark.parametrize("top", [2, 256])
+def test_gf256_wide_kernel_strided_rows_and_bit_entries(layout, top):
+    # a non-contiguous b of a width divisible by 8 still takes the padded
+    # copy; entries of a below 2 leave the kernel no doubling step to run
+    f = KERNEL_FIELDS[0]
+    rng = np.random.default_rng(top)
+    m, k, n = 5, 6, _GF256_NARROW + 16
+    a = rng.integers(0, top, (m, k), dtype=np.uint8)
+    if layout == "column slice":
+        b = rng.integers(0, 256, (k, n + 8), dtype=np.uint8)[:, 3 : n + 3]
+    else:
+        b = rng.integers(0, 256, (n, k), dtype=np.uint8).T
+    assert not b.flags.c_contiguous
+    expected = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            for t in range(k):
+                expected[i][j] = f.add(expected[i][j], f.mul(int(a[i, t]), int(b[t, j])))
+    assert f.np_matmul(a, b).tolist() == expected
