@@ -38,10 +38,11 @@ _PRIME_LIMIT = 1 << 16
 #: where the unchecked builds run for hours or exhaust memory.
 _BUILD_BUDGET = 1 << 22
 
-#: Outputs per pass of the prime-field matmul: 512 KiB of float64.  At
-#: 2 MiB the temporaries came from freshly faulted pages or from reused
-#: heap depending on what the process had freed before (glibc's dynamic
-#: mmap threshold), so throughput depended on call history.
+#: Outputs per pass of the prime-field matmul: 256 KiB of float32 and of
+#: int32, or 512 KiB of float64 and of int64.  At 2 MiB the temporaries came
+#: from freshly faulted pages or from reused heap depending on what the
+#: process had freed before (glibc's dynamic mmap threshold), so throughput
+#: depended on call history.
 _PRIME_SLICE = 1 << 16
 
 #: Widest right-hand side the GF(256) matmul multiplies by one table gather;
@@ -383,22 +384,35 @@ class PrimeField(FieldSpec):
         return out.astype(self.np_dtype)
 
     def np_matmul(self, a, b):
-        # float64 holds every integer up to 2**53 exactly, so BLAS sums a
-        # block of at most 2**53 // (p-1)**2 symbol products without
-        # rounding; each block sum is then reduced in int64.  Columns go
+        # BLAS sums symbol products exactly while every partial sum is an
+        # integer the float holds: up to 2**24 in float32, 2**53 in float64,
+        # with each product at most (p-1)**2.  float32 (sgemm) takes the
+        # product whenever the whole inner axis fits, which at p = 137 is up
+        # to 907 terms; otherwise float64 sums it in blocks of
+        # 2**53 // (p-1)**2 terms.  Each sum is reduced mod p in int32 or
+        # int64 as x - (x // p) * p: numpy divides by a scalar through a
+        # multiply and shift, where its remainder divides.  Columns go
         # through in slices of about _PRIME_SLICE outputs, which bounds the
-        # float64 and int64 temporaries.
-        a = np.asarray(a, dtype=np.float64)
+        # temporaries.
+        q = self.q
+        square = (q - 1) ** 2
+        inner = np.shape(a)[1]
+        if inner * square <= 1 << 24:
+            real, whole, block = np.float32, np.int32, max(1, inner)
+        else:
+            real, whole, block = np.float64, np.int64, (1 << 53) // square
+        a = np.asarray(a, dtype=real)
         b = np.asarray(b)
-        block = max(1, (1 << 53) // (self.q - 1) ** 2)
         width = max(1, _PRIME_SLICE // max(1, a.shape[0]))
         out = np.empty((a.shape[0], b.shape[1]), dtype=self.np_dtype)
         for c in range(0, b.shape[1], width):
-            cols = b[:, c : c + width].astype(np.float64)
-            acc = np.zeros((a.shape[0], cols.shape[1]), dtype=np.int64)
-            for s in range(0, a.shape[1], block):
-                acc += (a[:, s : s + block] @ cols[s : s + block]).astype(np.int64)
-                acc %= self.q
+            cols = b[:, c : c + width].astype(real)
+            for s in range(0, max(1, inner), block):
+                part = (a[:, s : s + block] @ cols[s : s + block]).astype(whole)
+                acc = part if s == 0 else acc + part
+                quotient = acc // q
+                quotient *= q
+                acc -= quotient
             out[:, c : c + width] = acc
         return out
 

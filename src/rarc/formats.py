@@ -139,14 +139,14 @@ def payload_to_symbols(field: FieldSpec, payload: bytes) -> np.ndarray:
             f"prime field p={q} is too small for byte packing (needs p >= 131)"
         )
     escape = q - 1
-    high = data >= escape
-    counts = 1 + high
-    out = np.repeat(data, counts)
-    # index of the first symbol of every escaped byte
-    first = (np.cumsum(counts) - 2)[high]
-    out[first] = escape
-    out[first + 1] -= escape
-    return out
+    # Every byte b becomes the pair (escape, b - escape*[b >= escape]); the
+    # escape half is kept only where b >= escape.
+    keep = np.ones((data.size, 2), dtype=bool)
+    np.greater_equal(data, escape, out=keep[:, 0])
+    pairs = np.empty((data.size, 2), dtype=np.uint8)
+    pairs[:, 0] = escape
+    np.subtract(data, keep[:, 0] * np.uint8(escape), out=pairs[:, 1])
+    return pairs.reshape(-1).take(np.flatnonzero(keep))
 
 
 def symbols_to_payload(field: FieldSpec, symbols: np.ndarray, payload_len: int) -> bytes:
@@ -169,27 +169,28 @@ def symbols_to_payload(field: FieldSpec, symbols: np.ndarray, payload_len: int) 
     # this way, the stream parses as written up to its first escape that
     # is followed by another escape, which the checks below reject.
     start = np.ones(symbols.size, dtype=bool)
-    start[1:] = symbols[:-1] != escape
+    np.not_equal(symbols[:-1], escape, out=start[1:])
     starts = np.flatnonzero(start)[:payload_len]
-    lead = symbols[starts]
+    lead = symbols.take(starts)
     escaped = lead == escape
-    pairs = starts[escaped]
-    if pairs.size and pairs[-1] + 1 == symbols.size:
+    if escaped.size and escaped[-1] and starts[-1] + 1 == symbols.size:
         raise FormatError("escape symbol ends the symbol stream")
-    tail = symbols[pairs + 1]
+    # The symbol after every lead, zeroed where the lead is not an escape;
+    # the index array is shifted in place, and the one index past the end
+    # (a plain last symbol) is clipped and then zeroed.
+    starts += 1
+    tail = symbols.take(starts, mode="clip") * escaped
     if (tail == escape).any():
         raise FormatError("escape symbol followed by another escape")
     if lead.size and (lead.min() < 0 or lead.max() > escape):
         raise FormatError("symbol out of field range")
     if tail.size and (tail.min() < 0 or tail.max() > 0xFF - escape):
         raise FormatError("escape pair does not encode a byte")
-    if starts.size < payload_len:
+    if lead.size < payload_len:
         raise FormatError(
-            f"payload truncated: expected {payload_len} bytes, got {starts.size}"
+            f"payload truncated: expected {payload_len} bytes, got {lead.size}"
         )
-    out = lead.astype(np.uint8)
-    out[escaped] += tail.astype(np.uint8)
-    return out.tobytes()
+    return (lead + tail).astype(np.uint8).tobytes()
 
 
 # -- structured-text reports ----------------------------------------------------

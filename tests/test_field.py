@@ -363,3 +363,32 @@ def test_gf256_wide_kernel_strided_rows_and_bit_entries(layout, top):
             for t in range(k):
                 expected[i][j] = f.add(expected[i][j], f.mul(int(a[i, t]), int(b[t, j])))
     assert f.np_matmul(a, b).tolist() == expected
+
+
+# (p, inner dimension): at p = 137 float32 holds the sum of 907 =
+# 2**24 // 136**2 products of p-1 exactly, and 908 take float64; at p = 307
+# the boundary is 179; at p = 65521 one product (p-1)**2 > 2**24 already
+# takes float64
+@pytest.mark.parametrize(
+    "p,inner", [(137, 907), (137, 908), (137, 1815), (307, 179), (307, 180), (65521, 2)]
+)
+@pytest.mark.parametrize("odd", [False, True])
+def test_prime_matmul_exact_at_the_float32_boundary(p, inner, odd):
+    # Every entry p-1 makes every partial sum as large as it can get.
+    # Those sums are all divisible by 4, which float32 holds up to 2**26,
+    # so ``odd`` also swaps one product for (p-2)**2: an odd sum above 2**24
+    # that float32 cannot hold.
+    f = PrimeField(p, 2)
+    m, n = 2, 3
+    a = np.full((m, inner), p - 1, dtype=f.np_dtype)
+    b = np.full((inner, n), p - 1, dtype=f.np_dtype)
+    if odd:
+        a[:, 0] = p - 2
+        b[0, :] = p - 2
+    expected = [
+        [sum(int(a[i, t]) * int(b[t, j]) for t in range(inner)) % p for j in range(n)]
+        for i in range(m)
+    ]
+    got = f.np_matmul(a, b)
+    assert got.dtype == f.np_dtype
+    assert got.tolist() == expected

@@ -296,6 +296,43 @@ def test_unpacking_matches_reference_on_arbitrary_streams(case):
         assert got == expected
 
 
+LONG = 100_000
+
+
+@pytest.mark.parametrize("q", [131, 137])
+@pytest.mark.parametrize("kind", ["every byte escaped", "no byte escaped", "random"])
+def test_packing_at_scale_matches_reference(q, kind):
+    field = PrimeField(q, 2)
+    rng = random.Random(f"{q}:{kind}")
+    if kind == "every byte escaped":
+        payload = b"\xff" * LONG
+    elif kind == "no byte escaped":
+        payload = bytes(rng.randrange(q - 1) for _ in range(LONG))
+    else:
+        payload = rng.randbytes(LONG)
+    symbols = payload_to_symbols(field, payload)
+    assert symbols.dtype == field.np_dtype
+    expected = reference_pack(q, payload)
+    assert symbols.tolist() == expected
+    padded = np.concatenate([symbols, np.zeros(57, dtype=field.np_dtype)])
+    assert reference_unpack(q, expected + [0] * 57, LONG) == payload
+    assert symbols_to_payload(field, padded, LONG) == payload
+
+
+@pytest.mark.parametrize("q", [131, 137])
+@pytest.mark.parametrize("fault", ["trailing escape", "escape then escape", "truncated"])
+def test_malformed_end_of_a_long_stream_is_rejected(q, fault):
+    field = PrimeField(q, 2)
+    escape = q - 1
+    symbols = reference_pack(q, random.Random(q).randbytes(LONG))
+    tail = {"trailing escape": [escape], "escape then escape": [escape, escape, 0], "truncated": []}
+    stream = symbols + tail[fault]
+    with pytest.raises(FormatError):
+        reference_unpack(q, stream, LONG + 1)
+    with pytest.raises(FormatError):
+        symbols_to_payload(field, np.array(stream, dtype=field.np_dtype), LONG + 1)
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
