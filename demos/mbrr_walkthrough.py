@@ -31,7 +31,7 @@ print("message matrix (rack-boundary columns hold a symmetric block, then zeros)
 for i in range(p.dbar):
     print(f"  {M[i].tolist()}")
 
-# One stripe is a one-column block through the code's generator: node c
+# One stripe is one product C = M * Lambda with the code's powers: node c
 # stores the dbar rows of M evaluated at its point.
 cluster = Cluster(code).store(data)
 print(f"\nnode (0,1) stores {cluster.node_data((0, 1))}")

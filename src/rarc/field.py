@@ -32,10 +32,12 @@ GF256_MODULUS = 0x11D
 _PRIME_LIMIT = 1 << 16
 
 #: Most work one code build may take, checked on the parameters before
-#: anything is allocated: |T|^2 * n + n * B steps for the minimum-storage
-#: row reduction and generator, n * k + n * dbar * B cells for the
-#: minimum-bandwidth powers and generator.  File headers reach n = 65535,
-#: where the unchecked builds run for hours or exhaust memory.
+#: anything is allocated: |T|^2 * n steps for the minimum-storage row
+#: reduction plus the dbar * dbar * u cells of its block-diagonal helper
+#: map, n * k cells for the minimum-bandwidth powers plus the n * k * dbar
+#: multiply-adds of one stripe through their product.  File headers reach
+#: n = 65535, where the unchecked builds or repairs run for hours or
+#: exhaust memory.
 _BUILD_BUDGET = 1 << 22
 
 #: Outputs per pass of the prime-field matmul: 256 KiB of float32 and of
@@ -47,15 +49,10 @@ _PRIME_SLICE = 1 << 16
 
 #: Widest right-hand side the GF(256) matmul multiplies by one table gather;
 #: wider ones (file stripes) go through the bit-sliced kernel, eight
-#: symbols per uint64 word.
+#: symbols per uint64 word.  The minimum-bandwidth code encodes a block in
+#: one product with its powers when the product's dbar * stripes columns
+#: fit this width.
 _GF256_NARROW = 64
-
-#: Widest stripe block both codes encode with one generator product.  Wider
-#: blocks (file stripes) go through the code's structure: the minimum-storage
-#: code copies its information rows and multiplies only its parity rows, the
-#: minimum-bandwidth code evaluates M * Lambda rack by rack.  On one stripe
-#: (``sim.Cluster.store``) their extra kernel calls cost more than they save.
-_ENCODE_NARROW = 64
 
 #: Products per pass of the GF(256) gather: 512 KiB of table indices once
 #: ``take`` widens them to intp.

@@ -20,17 +20,18 @@ arrays, which ``bulk.repair_stripes`` applies to the stored rows of a
 ``sim.Cluster``.
 
 ``cell_layout`` is the one description of where the data symbols sit in
-M; the generator, the rack-by-rack encoder and the reconstruct structure
-checks index through it.  Encoding maps a block of stripe columns to the
-columns of the dbar x n code matrix C = M * Lambda, node by node, and
-reconstruction applies the inverse of the Vandermonde matrix on k given
-points; a single stripe is a one-column block.  A block of at most
-``_ENCODE_NARROW`` stripes takes one product with the generator, that
-layout composed with M -> M * Lambda.  Wider blocks use the rack
-identity: for column j = t*u + r of M, lam[(e,g)]**j = xi**(e*j) *
-eta**(g*r), so C is a product with the nbar x |J_r| matrix W_r[e, t] =
-xi**(e*j_t) for each residue r, over the columns j_t = r (mod u) of M,
-followed by one product with the u x u matrix E[g, r] = eta**(g*r).
+M; both encoders and the reconstruct structure checks index through it.
+Encoding maps a block of stripe columns to the columns of the dbar x n
+code matrix C = M * Lambda, node by node, and reconstruction applies the
+inverse of the Vandermonde matrix on k given points; a single stripe is a
+one-column block.  A block whose dbar * stripes columns fit one table
+gather of the GF(256) kernel (``_GF256_NARROW``) takes C = M * Lambda as
+one product: ``powers``, on the columns of M that are not structurally
+zero, times the message cells.  Wider blocks use the rack identity: for
+column j = t*u + r of M, lam[(e,g)]**j = xi**(e*j) * eta**(g*r), so C is
+a product with the nbar x |J_r| matrix W_r[e, t] = xi**(e*j_t) for each
+residue r, over the columns j_t = r (mod u) of M, followed by one
+product with the u x u matrix E[g, r] = eta**(g*r).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError, VerificationError
-from .field import _BUILD_BUDGET, _ENCODE_NARROW, FieldSpec, eval_points
+from .field import _BUILD_BUDGET, _GF256_NARROW, FieldSpec, eval_points
 from .linalg import vandermonde_inverse
 from .params import SystemParams, check_helper_racks, check_node_set
 
@@ -63,6 +64,12 @@ _HELPER_INVERSE_CACHE_SIZE = 256
 def j1_columns(p: SystemParams) -> list[int]:
     """The kbar rack-boundary column indices t*u + u - 1."""
     return [t * p.u + p.u - 1 for t in range(p.kbar)]
+
+
+def live_columns(p: SystemParams) -> list[int]:
+    """The columns of M that are not structurally zero, in order."""
+    zero = set(j1_columns(p)[p.dbar :])
+    return [j for j in range(p.k) if j not in zero]
 
 
 def message_size(p: SystemParams) -> int:
@@ -157,8 +164,9 @@ class MbrrCode:
             raise ParameterError(f"field rack size {field.u} != system rack size {params.u}")
         if field.q <= params.n:
             raise ParameterError(f"field size {field.q} must exceed node count {params.n}")
-        # the n x k powers of the points, then the (n*dbar) x B generator
-        cost = params.n * (params.k + params.dbar * message_size(params))
+        # the n x k powers of the points, then one stripe through their
+        # product, which also bounds the reconstruct and repair maps
+        cost = params.n * params.k * (params.dbar + 1)
         if cost > _BUILD_BUDGET:
             raise ParameterError(
                 f"the code's fixed maps cost {cost} to build, over {_BUILD_BUDGET}"
@@ -188,37 +196,33 @@ class MbrrCode:
         return out
 
     @functools.cached_property
-    def generator(self) -> np.ndarray:
-        """(n*dbar x B) map from data symbols to node-major stored symbols,
-        read-only: the message layout composed with M -> M * Lambda."""
-        p = self.params
-        layout = cell_layout(p)
-        gen = np.zeros((p.n, p.dbar, self.B), dtype=self.field.np_dtype)
-        gen[:, layout.filled % p.dbar, layout.source] = self.powers[:, layout.filled // p.dbar]
-        gen = gen.reshape(p.n * p.dbar, self.B)
-        gen.setflags(write=False)
-        return gen
+    def dense_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """C = M * Lambda as one product, read-only.
+
+        ``gather`` names a data symbol for each cell of M transposed in the
+        ``live_columns`` of M, column by column, dbar cells each: every such
+        cell carries one, so it is the layout's ``source``.  ``weights`` is
+        ``powers`` on those columns, n x (k - kbar + dbar).
+        """
+        weights = self.powers[:, live_columns(self.params)]
+        weights.setflags(write=False)
+        return cell_layout(self.params).source, weights
 
     @functools.cached_property
     def rack_maps(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-        """The generator factored along the rack identity, read-only.
+        """``dense_map`` factored along the rack identity, read-only.
 
-        ``gather`` names a data symbol for each cell of M transposed that
-        is not a structural zero, residue by residue: residue r holds the
-        columns j = r (mod u) of M in order, dbar cells each.
+        ``gather`` is its gather with the columns of M regrouped residue by
+        residue: residue r holds the columns j = r (mod u) in order.
         ``weights[r]`` is W_r, nbar x (columns of residue r), with W_r[e, t]
         = xi**(e*j_t); ``twiddle`` is E, u x u, with E[g, r] = eta**(g*r).
         """
         p = self.params
-        d = p.dbar
-        layout = cell_layout(p)
-        symbol = np.full(p.k * d, -1, dtype=np.intp)
-        symbol[layout.filled] = layout.source
-        zero = set(j1_columns(p)[d:])
-        columns = [[j for j in range(r, p.k, p.u) if j not in zero] for r in range(p.u)]
-        gather = symbol[(np.concatenate(columns)[:, None] * d + np.arange(d)).ravel()]
+        live = live_columns(p)
+        order = sorted(range(len(live)), key=lambda t: live[t] % p.u)
+        gather = self.dense_map[0].reshape(len(live), p.dbar)[order].ravel()
         # lam[e*u] = xi**e and lam[g] = eta**g
-        weights = [self.powers[:: p.u, cols] for cols in columns]
+        weights = [self.powers[:: p.u, [j for j in live if j % p.u == r]] for r in range(p.u)]
         twiddle = self.powers[: p.u, : p.u]
         for arr in [gather, twiddle] + weights:
             arr.setflags(write=False)
@@ -229,22 +233,29 @@ class MbrrCode:
     def encode_stripes(self, data: np.ndarray) -> np.ndarray:
         """Encode a (B x stripes) data block into (n*dbar x stripes) symbols.
 
-        Blocks of at most ``_ENCODE_NARROW`` stripes take one product with
-        the generator.  Wider blocks go through ``rack_maps`` in passes of
-        ``_ENCODE_BLOCK`` stripes: A_r = W_r * M_r for each residue r,
-        then row (e, g) of C is sum_r E[g, r] * A_r[e], one product with E
-        over all racks at once.
+        A block of at most ``_GF256_NARROW`` / dbar stripes takes one
+        product with ``dense_map``: its weights times the gathered cells
+        (one row per live column of M, dbar * stripes columns) give node
+        c's dbar rows in row c.  Wider blocks go through ``rack_maps`` in
+        passes of ``_ENCODE_BLOCK`` stripes: A_r = W_r * M_r for each
+        residue r, then row (e, g) of C is sum_r E[g, r] * A_r[e], one
+        product with E over all racks at once.
         """
         if data.shape[0] != self.B:
             raise ParameterError(f"data block must have {self.B} rows")
         F = self.field
-        if data.shape[1] <= _ENCODE_NARROW:
-            return F.np_matmul(self.generator, data)
         p = self.params
         d = p.dbar
+        stripes = data.shape[1]
+        if d * stripes <= _GF256_NARROW:
+            gather, weights = self.dense_map
+            cells = data.take(gather, axis=0).reshape(weights.shape[1], d * stripes)
+            code = F.np_matmul(weights, cells)
+            code.shape = (p.n * d, stripes)  # in place: no view for a Cluster to keep
+            return code
         gather, weights, twiddle = self.rack_maps
-        out = np.empty((p.n * d, data.shape[1]), dtype=F.np_dtype)
-        for s in range(0, data.shape[1], _ENCODE_BLOCK):
+        out = np.empty((p.n * d, stripes), dtype=F.np_dtype)
+        for s in range(0, stripes, _ENCODE_BLOCK):
             block = data[gather, s : s + _ENCODE_BLOCK]
             width = block.shape[1]
             cols = block.reshape(-1, d * width)  # row t: column j_t of M, cell by cell

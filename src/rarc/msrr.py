@@ -16,13 +16,11 @@ solve.  The missing symbol follows from the u - 1 local symbols.
 ``MsrrCode.repair_maps`` writes that repair as two fixed arrays, which
 ``bulk.repair_stripes`` applies to the stored rows of a ``sim.Cluster``.
 
-``build`` takes the parity set and the systematic generator from one row
-reduction of the check matrix.  Encoding copies a block of stripe
-columns into the information positions and applies the generator's
-parity rows (a block of at most ``_ENCODE_NARROW`` stripes, a single
-stripe among them, takes one product with the whole generator), and
-reconstruction applies a map built from one Vandermonde inverse; a
-single stripe is a one-column block.
+``build`` takes the parity set and the parity rows of the systematic
+encoder from one row reduction of the check matrix.  Encoding copies a
+block of stripe columns into the information positions and multiplies
+the parity rows, at every width, and reconstruction applies a map built
+from one Vandermonde inverse; a single stripe is a one-column block.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError, SingularSystemError, VerificationError
-from .field import _BUILD_BUDGET, _ENCODE_NARROW, FieldSpec, eval_points
+from .field import _BUILD_BUDGET, FieldSpec, eval_points
 from .linalg import row_reduce, vandermonde_inverse
 from .params import SystemParams, check_helper_racks, check_node_set
 
@@ -52,15 +50,15 @@ class MsrrCode:
 
     code_type = "msrr"
 
-    def __init__(self, params, field, T, lam, checks, info_set, parity_set, generator):
+    def __init__(self, params, field, T, lam, checks, info_set, parity_set, parity_rows):
         self.params = params
         self.field = field
         self.T = T
         self.lam = lam
         self.checks = checks  # (|T| x n) parity-check matrix H, read-only
-        self.info_set = info_set
-        self.parity_set = parity_set
-        self.generator = generator  # (n x B) codeword = G @ message, read-only
+        self.info_set = info_set  # read-only intp positions of the message
+        self.parity_set = parity_set  # read-only intp positions of the checks
+        self.parity_rows = parity_rows  # (|T| x B) c_P = parity_rows @ m, read-only
         self.rack_points = [field.pow(field.xi, e * params.u) for e in range(params.nbar)]
 
     @classmethod
@@ -71,9 +69,10 @@ class MsrrCode:
         if field.q <= params.n:
             raise ParameterError(f"field size {field.q} must exceed node count {params.n}")
         n = params.n
-        # the row reduction of the |T| x n check matrix, then the n x B generator
+        # the row reduction of the |T| x n check matrix, then the dbar x dbar*u
+        # block-diagonal helper map of each repair
         t_size = n - params.k + params.kbar - params.dbar
-        cost = t_size * t_size * n + n * (n - t_size)
+        cost = t_size * t_size * n + params.dbar * params.dbar * params.u
         if cost > _BUILD_BUDGET:
             raise ParameterError(
                 f"the code's fixed maps cost {cost} to build, over {_BUILD_BUDGET}"
@@ -88,14 +87,12 @@ class MsrrCode:
         reduced, pivots = row_reduce(field, checks[:, ::-1])
         if len(pivots) != len(T):
             raise SingularSystemError("parity-check matrix is rank deficient")
-        parity_set = sorted(n - 1 - c for c in pivots)
-        info_set = [c for c in range(n) if c not in set(parity_set)]
-        generator = np.zeros((n, len(info_set)), dtype=field.np_dtype)
-        generator[info_set, range(len(info_set))] = 1
-        generator[parity_set] = field.np_neg(reduced[::-1][:, [n - 1 - c for c in info_set]])
-        for arr in (checks, generator):
+        parity_set = np.array(sorted(n - 1 - c for c in pivots), dtype=np.intp)
+        info_set = np.delete(np.arange(n, dtype=np.intp), parity_set)
+        parity_rows = field.np_neg(reduced[::-1][:, n - 1 - info_set])
+        for arr in (checks, info_set, parity_set, parity_rows):
             arr.setflags(write=False)
-        return cls(params, field, T, lam, checks, info_set, parity_set, generator)
+        return cls(params, field, T, lam, checks, info_set, parity_set, parity_rows)
 
     @property
     def B(self) -> int:
@@ -107,25 +104,12 @@ class MsrrCode:
 
     # -- encoding ------------------------------------------------------------
 
-    @functools.cached_property
-    def parity_rows(self) -> np.ndarray:
-        """(|T| x B) the generator's rows on ``parity_set``, read-only."""
-        rows = self.generator[self.parity_set]
-        rows.setflags(write=False)
-        return rows
-
     def encode_stripes(self, data: np.ndarray) -> np.ndarray:
-        """Encode a (B x stripes) message block into (n x stripes) symbols.
-
-        Blocks of at most ``_ENCODE_NARROW`` stripes take one product with
-        the generator.  Wider blocks copy the message into ``info_set``,
-        where the generator's rows are the identity, and multiply only
-        its ``parity_rows``.
-        """
+        """Encode a (B x stripes) message block into (n x stripes) symbols:
+        the message goes to ``info_set``, where the code is systematic, and
+        its product with ``parity_rows`` to ``parity_set``."""
         if data.shape[0] != self.B:
             raise ParameterError(f"message block must have {self.B} rows")
-        if data.shape[1] <= _ENCODE_NARROW:
-            return self.field.np_matmul(self.generator, data)
         out = np.empty((self.params.n, data.shape[1]), dtype=self.field.np_dtype)
         out[self.info_set] = data
         out[self.parity_set] = self.field.np_matmul(self.parity_rows, data)

@@ -1,11 +1,12 @@
 """Per-call scalar encode and reconstruct routes, kept as the oracle for the
 fixed maps every production path applies.
 
-The codes encode and reconstruct by applying a generator or a
-reconstruct map, built from one vectorized row reduction or Vandermonde
-inverse, to a block of stripe columns.  The functions here reach the same
-symbols by the routes the maps replaced, one symbol at a time in plain
-Python:
+The codes encode and reconstruct by applying fixed maps of their
+structure (the systematic code's parity rows, the product code's powers)
+or a reconstruct map, built from one vectorized row reduction or
+Vandermonde inverse, to a block of stripe columns.  The functions here
+reach the same symbols by the routes the maps replaced, one symbol at a
+time in plain Python, or by one product with a dense generator:
 
 - a dense row-major ``Matrix`` of plain ints, per-symbol products, exact
   Gaussian elimination, the rank it reports, inversion, and a
@@ -18,7 +19,9 @@ Python:
   whole codeword;
 - minimum bandwidth: C = M * Lambda by matrix product, and reconstruction
   by interpolating each row of M through k node columns, checking any
-  extra columns and the message structure, then unpacking.
+  extra columns and the message structure, then unpacking;
+- either code: the dense generator, stored symbols = G @ data, built once
+  per code from the maps above.
 
 It also keeps the paper's identities that only the tests check: the
 rack-local polynomial family of the minimum-bandwidth code, its leading
@@ -28,6 +31,7 @@ minimum distance of the minimum-storage code by enumeration.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -456,6 +460,31 @@ def mbrr_reconstruct(code, available):
                 raise VerificationError("the given node set is inconsistent")
     _check_structure(p, M)
     return unpack_message(p, M.to_rows())
+
+
+# -- generators -----------------------------------------------------------------------
+
+
+@functools.cache
+def generator(code) -> np.ndarray:
+    """(n*alpha x B) dense generator of ``code``, read-only, built once per
+    code: the identity on ``info_set`` and ``msrr_enc`` on ``parity_set``
+    for minimum storage; the message layout composed with M -> M * Lambda,
+    Lambda from ``lambda_matrix``, for minimum bandwidth."""
+    p = code.params
+    dtype = code.field.np_dtype
+    if code.code_type == "msrr":
+        gen = np.zeros((p.n, code.B), dtype=dtype)
+        gen[code.info_set, np.arange(code.B)] = 1
+        gen[code.parity_set] = msrr_enc(code).to_rows()
+    else:
+        layout = cell_layout(p)
+        powers = np.array(lambda_matrix(code).to_rows(), dtype=dtype).T
+        gen = np.zeros((p.n, p.dbar, code.B), dtype=dtype)
+        gen[:, layout.filled % p.dbar, layout.source] = powers[:, layout.filled // p.dbar]
+        gen = gen.reshape(p.n * p.dbar, code.B)
+    gen.setflags(write=False)
+    return gen
 
 
 # -- paper identities ---------------------------------------------------------------

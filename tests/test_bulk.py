@@ -11,7 +11,7 @@ from rarc import bulk
 from rarc import mbrr as mbrr_module
 from rarc.errors import ParameterError, VerificationError
 from rarc.field import (
-    _ENCODE_NARROW,
+    _GF256_NARROW,
     Gf256Field,
     PrimeField,
     field_from_descriptor,
@@ -23,7 +23,13 @@ from rarc.params import MBRR, MSRR, SystemParams
 from rarc.sim import Cluster, RepairPolicy
 
 import repair_oracle as oracle
-from codec_oracle import lagrange_leading_weights, mbrr_encode, msrr_encode, pack_message
+from codec_oracle import (
+    generator,
+    lagrange_leading_weights,
+    mbrr_encode,
+    msrr_encode,
+    pack_message,
+)
 
 RNG = random.Random(307)
 
@@ -332,12 +338,12 @@ def test_cached_arrays_are_read_only():
     field = make_field(50, 5, "gf256")
     msrr = bulk.build_code(MSRR, p, field)
     mbrr = bulk.build_code(MBRR, p, field)
-    gens = [msrr.generator, mbrr.generator]
-    assert msrr.generator is gens[0]
-    assert mbrr.generator is gens[1]
+    narrow = list(mbrr.dense_map)
+    assert mbrr.dense_map[1] is narrow[1]
     gather, weights, twiddle = mbrr.rack_maps
     assert msrr.parity_rows is msrr.parity_rows and mbrr.rack_maps[0] is gather
-    for arr in gens + [msrr.checks, msrr.parity_rows, gather, twiddle, field._mul_table] + weights:
+    systematic = [msrr.checks, msrr.info_set, msrr.parity_set, msrr.parity_rows]
+    for arr in narrow + systematic + [gather, twiddle, field._mul_table] + weights:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1
@@ -426,7 +432,7 @@ def test_bulk_encode_columns_match_scalar_encode(case):
 
 
 # ---------------------------------------------------------------------------
-# encode routes: the generator product is the oracle for the wide routes
+# encode routes: the oracle's generator product is the oracle for both
 # ---------------------------------------------------------------------------
 
 # the two production shapes, then GF(13) shapes with u0 > 0 at dbar = 1
@@ -440,9 +446,19 @@ ROUTE_PARAMS = [
 ROUTE_CODES = [
     bulk.build_code(code_type, p, f) for p, f in ROUTE_PARAMS for code_type in (MSRR, MBRR)
 ]
-# either side of field._ENCODE_NARROW, and the widths around them
-ROUTE_WIDTHS = st.one_of(
-    st.sampled_from([0, 1, _ENCODE_NARROW, _ENCODE_NARROW + 1]), st.integers(2, 80)
+
+
+def route_widths(code):
+    """0, 1, the widest block MBRR encodes with one product at the code's
+    dbar and one stripe more (16/17 at dbar 4, 32/33 at 2, 64/65 at 1), or
+    any width up to 80."""
+    split = _GF256_NARROW // code.params.dbar
+    return st.one_of(st.sampled_from([0, 1, split, split + 1]), st.integers(2, 80))
+
+
+# a code and a width drawn for it
+ROUTE_CASES = st.sampled_from(ROUTE_CODES).flatmap(
+    lambda code: st.tuples(st.just(code), route_widths(code))
 )
 
 
@@ -462,18 +478,33 @@ def route_block(code, width, seed, extremes, transposed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(ROUTE_CODES),
-    ROUTE_WIDTHS,
+    ROUTE_CASES,
     st.integers(0, 2**32 - 1),
     st.booleans(),
     st.booleans(),
 )
-def test_encode_routes_equal_the_generator_product(code, width, seed, extremes, transposed):
+def test_encode_routes_equal_the_generator_product(case, seed, extremes, transposed):
+    code, width = case
     data = route_block(code, width, seed, extremes, transposed)
     got = code.encode_stripes(data)
     assert got.dtype == code.field.np_dtype
     assert got.shape == (code.params.n * code.alpha, width)
-    assert np.array_equal(got, code.field.np_matmul(code.generator, data))
+    assert np.array_equal(got, code.field.np_matmul(generator(code), data))
+
+
+ROUTE_IDS = [f"{c.code_type}-n{c.params.n}-k{c.params.k}-d{c.params.dbar}" for c in ROUTE_CODES]
+
+
+@pytest.mark.parametrize("code", ROUTE_CODES, ids=ROUTE_IDS)
+def test_encode_split_widths_equal_the_generator_product(code):
+    # the fixed widths the strategy above samples, and 65-80, for every code
+    split = _GF256_NARROW // code.params.dbar
+    for width in (0, 1, split, split + 1, *range(65, 81)):
+        for transposed in (False, True):
+            data = route_block(code, width, width, False, transposed)
+            assert np.array_equal(
+                code.encode_stripes(data), code.field.np_matmul(generator(code), data)
+            )
 
 
 ROUTE_MBRR = [c for c in ROUTE_CODES if c.code_type == MBRR]
@@ -486,8 +517,8 @@ ROUTE_MBRR = [c for c in ROUTE_CODES if c.code_type == MBRR]
 def test_mbrr_encode_passes_match_one_pass(code, block):
     # 65 and 71 stripes end with a partial pass for every block size,
     # 70 fills its last pass of 7 exactly
-    for width in (_ENCODE_NARROW + 1, 70, 71):
+    for width in (65, 70, 71):
         data = route_block(code, width, width, False, True)
         with mock.patch.object(mbrr_module, "_ENCODE_BLOCK", block):
             passes = code.encode_stripes(data)
-        assert np.array_equal(passes, code.field.np_matmul(code.generator, data))
+        assert np.array_equal(passes, code.field.np_matmul(generator(code), data))

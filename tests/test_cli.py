@@ -13,7 +13,7 @@ import pytest
 
 from rarc import bulk, cli, selftest
 from rarc.cli import main
-from rarc.field import _ENCODE_NARROW, PrimeField
+from rarc.field import _GF256_NARROW, PrimeField
 from rarc.formats import (
     EncodedFile,
     format_thousandths,
@@ -147,8 +147,8 @@ def test_encode_is_deterministic(tmp_path, capsys):
 
 
 # SHA-256 of the encoded file of random.Random(14).randbytes(size): a
-# narrow payload (at most 64 stripes, one generator product) and a wide one
-# (the structured route) per code and production shape
+# narrow payload (for MBRR, dbar * stripes <= 64: one product with its
+# powers) and a wide one (the rack maps) per code and production shape
 ENCODED_SHA256 = {
     ("msrr", "50 5 44 4", 2000): "36b6a1c9b3e087280e3400815b1d44b79cd429d4aff91cba8272cf737902e42c",
     ("msrr", "50 5 44 4", 100000): "6cb88f08032ee26895b9e8d8707e2d4333f1e36446c9e2ec9cde78e06ff88de8",
@@ -174,7 +174,8 @@ def test_encoded_bytes_are_pinned(tmp_path, capsys, code, shape, size):
     encoded = enc.read_bytes()
     assert hashlib.sha256(encoded).hexdigest() == ENCODED_SHA256[code, shape, size]
     stripes = parse_encoded(encoded).body.shape[0]
-    assert (stripes <= _ENCODE_NARROW) == (size == 2000)
+    if code == "mbrr":
+        assert (int(d) * stripes <= _GF256_NARROW) == (size == 2000)
 
 
 def test_repair_policies_and_seeded_randomness(tmp_path, capsys):
@@ -419,7 +420,8 @@ def test_hostile_header_shapes_exit_1_before_building(
 ):
     # 25 bytes, zero stripes, u=2 over GF(p): fixed maps that would take
     # hours (the msrr row reduction), gigabytes (the mbrr powers), or both
-    # (an msrr generator of n x (n - 1) cells behind a single check row)
+    # (an msrr block-diagonal helper map of dbar x dbar*u = 32759 x 65518
+    # cells behind a single check row)
     enc = tmp_path / "hostile.rarc"
     enc.write_bytes(struct.pack("<4sBBHHHHBHQ", b"RARC", 1, code_id, n, 2, k, dbar, 1, p, 0))
     started = time.perf_counter()
@@ -427,6 +429,31 @@ def test_hostile_header_shapes_exit_1_before_building(
     assert time.perf_counter() - started < 1.0
     assert rc == 1
     assert "fixed maps cost" in err
+
+
+@pytest.mark.parametrize(
+    "code,at_budget,over",
+    [
+        ("msrr", (540, 4, 527, 56), (540, 4, 526, 56)),
+        ("mbrr", (2048, 2, 1024, 1), (2048, 2, 1025, 1)),
+    ],
+)
+def test_build_budget_edge(tmp_path, capsys, code, at_budget, over):
+    # |T|^2 * n + dbar^2 * u = 88^2 * 540 + 56^2 * 4 and n * k * (dbar + 1)
+    # = 2048 * 1024 * 2 are exactly the budget, 2**22; one more check row or
+    # one more column of M is over it
+    src = tmp_path / "payload.bin"
+    src.write_bytes(random.Random(5).randbytes(3000))
+    for shape, expected in ((at_budget, 0), (over, 1)):
+        n, u, k, d = (str(v) for v in shape)
+        enc = tmp_path / f"{code}-{k}.rarc"
+        rc, _, err = run_cli(
+            capsys,
+            "encode", "--code", code, "--n", n, "--u", u, "--k", k, "--d", d, str(src), str(enc),
+        )
+        assert rc == expected
+        assert enc.exists() == (expected == 0)
+    assert "fixed maps cost" in err and "over 4194304" in err
 
 
 @pytest.mark.parametrize(
