@@ -136,9 +136,12 @@ def _encoded_from_payload(args, payload: bytes) -> EncodedFile:
     symbols = payload_to_symbols(field, payload)
     B = code.B
     stripes = -(-symbols.size // B)
-    padded = np.zeros(stripes * B, dtype=field.np_dtype)
-    padded[: symbols.size] = symbols
-    data = padded.reshape(stripes, B).T
+    # stripe s is symbols s*B ... s*B + B - 1, zero-padded: column s of a
+    # row-major block, which the kernels read without a copy of their own
+    data = np.zeros((B, stripes), dtype=field.np_dtype)
+    whole, rest = divmod(symbols.size, B)
+    data[:, :whole] = symbols[: whole * B].reshape(whole, B).T
+    data[:rest, whole:] = symbols[whole * B :, None]
     return EncodedFile(
         code_type=args.code,
         params=params,

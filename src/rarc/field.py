@@ -47,15 +47,23 @@ _BUILD_BUDGET = 1 << 22
 #: depended on call history.
 _PRIME_SLICE = 1 << 16
 
-#: Widest right-hand side the GF(256) matmul multiplies by one table gather;
-#: wider ones (file stripes) go through the bit-sliced kernel, eight
-#: symbols per uint64 word.  The minimum-bandwidth code encodes a block in
-#: one product with its powers when the product's dbar * stripes columns
-#: fit this width.
-_GF256_NARROW = 64
+#: Widest right-hand side the GF(256) matmul multiplies by table gathers;
+#: wider ones go through the bit-sliced kernel, eight symbols per uint64
+#: word.  The gather costs about the same per product at every width, the
+#: bit-sliced kernel about the same per set bit of the matrix up to a few
+#: thousand columns, so the two cross near one width for every matrix the
+#: codes use: about 1,450 columns for the 10 x 40 MSRR parity rows at
+#: (50,5,44,4), whose entries have 3 set bits on average, 1,800-2,500 for
+#: the 44 x 44 MBRR inverse, the 4 x 80 MBRR helper map and the 6 x 44
+#: MSRR syndrome rows, 2,500 and more for the 10 x 9 rack maps W_r, the
+#: 4 x 20 MSRR helper map and the 5 x 5 twiddle (2-core VM, both kernels
+#: called in turn, best of 15).  The split sits just above the parity
+#: rows' crossover: every MSRR encode runs them.
+_GF256_NARROW = 1536
 
 #: Products per pass of the GF(256) gather: 512 KiB of table indices once
-#: ``take`` widens them to intp.
+#: ``take`` widens them to intp.  A pass takes whole rows of as many
+#: columns as fit, so a long inner axis splits the columns too.
 _GF256_GATHER = 1 << 16
 
 #: Fields kept per process, keyed by (kind, modulus, u).
@@ -315,17 +323,31 @@ class Gf256Field(FieldSpec):
 
     def _gather_matmul(self, a, b):
         # Every product a[r, j] * b[j, c] is one lookup in the flattened
-        # product table at (a << 8) | b, laid out (row, column, j) so the
-        # XOR-reduce runs along contiguous memory; rows of ``a`` go through
-        # in blocks of at most _GF256_GATHER products.
+        # product table at (a << 8) | b, and an XOR-reduce over j sums them.
+        # numpy reduces an outer axis a whole contiguous row at a time but
+        # the innermost one output at a time, so the products are laid out
+        # (row, j, column) when a block has at least as many columns as j
+        # has terms and (row, column, j) otherwise.  Blocks of rows and
+        # columns take at most _GF256_GATHER products at a time.
         flat = self._mul_table.ravel()
-        high = (a.astype(np.uint16) << 8)[:, None, :]
-        low = b.T[None, :, :]
-        out = np.empty((a.shape[0], b.shape[1]), dtype=np.uint8)
-        step = max(1, _GF256_GATHER // max(1, a.shape[1] * b.shape[1]))
-        for r in range(0, a.shape[0], step):
-            products = flat.take(high[r : r + step] | low)
-            np.bitwise_xor.reduce(products, axis=2, out=out[r : r + step])
+        rows, inner = a.shape
+        width = b.shape[1]
+        out = np.empty((rows, width), dtype=np.uint8)
+        cols = max(1, min(width, _GF256_GATHER // max(1, inner)))
+        step = max(1, _GF256_GATHER // max(1, inner * cols))
+        high = a.astype(np.uint16) << 8
+        if cols >= inner:
+            high, low, axis = high[:, :, None], b[None], 1
+        else:
+            high, low, axis = high[:, None, :], b.T[None], 2
+        if cols == width and step >= rows:  # one block, as for a single stripe
+            np.bitwise_xor.reduce(flat.take(high | low), axis=axis, out=out)
+            return out
+        for c in range(0, width, cols):
+            part = low[:, :, c : c + cols] if axis == 1 else low[:, c : c + cols]
+            for r in range(0, rows, step):
+                products = flat.take(high[r : r + step] | part)
+                np.bitwise_xor.reduce(products, axis=axis, out=out[r : r + step, c : c + cols])
         return out
 
     def __repr__(self):

@@ -24,14 +24,14 @@ M; both encoders and the reconstruct structure checks index through it.
 Encoding maps a block of stripe columns to the columns of the dbar x n
 code matrix C = M * Lambda, node by node, and reconstruction applies the
 inverse of the Vandermonde matrix on k given points; a single stripe is a
-one-column block.  A block whose dbar * stripes columns fit one table
-gather of the GF(256) kernel (``_GF256_NARROW``) takes C = M * Lambda as
-one product: ``powers``, on the columns of M that are not structurally
-zero, times the message cells.  Wider blocks use the rack identity: for
-column j = t*u + r of M, lam[(e,g)]**j = xi**(e*j) * eta**(g*r), so C is
-a product with the nbar x |J_r| matrix W_r[e, t] = xi**(e*j_t) for each
-residue r, over the columns j_t = r (mod u) of M, followed by one
-product with the u x u matrix E[g, r] = eta**(g*r).
+one-column block.  A block of at most ``_DENSE_STRIPES`` stripes takes
+C = M * Lambda as one product: ``powers``, on the columns of M that are
+not structurally zero, times the message cells.  Wider blocks use the
+rack identity: for column j = t*u + r of M, lam[(e,g)]**j = xi**(e*j) *
+eta**(g*r), so C is a product with the nbar x |J_r| matrix W_r[e, t] =
+xi**(e*j_t) for each residue r, over the columns j_t = r (mod u) of M,
+followed by one product with the u x u matrix E[g, r] = eta**(g*r), in
+passes of ``_ENCODE_BYTES`` of code symbols.
 """
 
 from __future__ import annotations
@@ -43,18 +43,32 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError, VerificationError
-from .field import _BUILD_BUDGET, _GF256_NARROW, FieldSpec, eval_points
+from .field import _BUILD_BUDGET, FieldSpec, eval_points
 from .linalg import vandermonde_inverse
 from .params import SystemParams, check_helper_racks, check_node_set
 
 #: Message layouts kept per process, one per SystemParams.
 _LAYOUT_CACHE_SIZE = 16
 
-#: Stripes per pass of the rack-by-rack encoder, which bounds its
-#: temporaries to about 1 MiB at (50,5,44,4) over GF(256).  One pass over
-#: all 13,618 stripes of a 2 MiB file raised the benchmark's peak RSS from
-#: 51.7 to 59.1 MB.
-_ENCODE_BLOCK = 1024
+#: Widest block, in stripes, that encodes by one product with the powers
+#: (``dense_map``); wider blocks take the rack maps, about a third of the
+#: table products in u + 1 kernel calls.  At (50,5,44,4) over GF(256) the
+#: routes cross at 4 stripes: one stripe, as ``sim.Cluster.store`` encodes
+#: it, took 49-54 us by the dense product against 71-79 us by the rack
+#: maps, 16 stripes 251 us against 134-231 us (2-core VM, both routes in
+#: turn, best of 9 x 20 calls).  Over GF(137) at (132,4,120,4) the dense
+#: product stays cheaper up to about 64 stripes (41 against 140 us at 8),
+#: so blocks of 5 to 64 stripes there pay up to three times what they could.
+_DENSE_STRIPES = 4
+
+#: Bytes of code symbols per pass of the rack-by-rack encoder, which bound
+#: its temporaries: 5,242 stripes at (50,5,44,4) over GF(256), 992 at
+#: (132,4,120,4) over GF(137).  The bit-sliced kernel pays its Python calls
+#: once per pass, so passes of 1,024 stripes made the 2 MiB encode of the
+#: benchmark call-bound: 35-44 ms against 24-27 ms at 5,242 stripes per
+#: pass (2-core VM, min of 9).  One pass over all 13,618 stripes took
+#: 26-31 ms and raised the benchmark's peak RSS from 51.7 to 59.1 MB.
+_ENCODE_BYTES = 1 << 20
 
 #: Helper-rack Vandermonde inverses kept per code, one per ordered helper
 #: set; nbar = 10 racks and dbar = 4 give 210 sets in rack order.
@@ -233,13 +247,13 @@ class MbrrCode:
     def encode_stripes(self, data: np.ndarray) -> np.ndarray:
         """Encode a (B x stripes) data block into (n*dbar x stripes) symbols.
 
-        A block of at most ``_GF256_NARROW`` / dbar stripes takes one
+        A block of at most ``_DENSE_STRIPES`` stripes takes one
         product with ``dense_map``: its weights times the gathered cells
         (one row per live column of M, dbar * stripes columns) give node
         c's dbar rows in row c.  Wider blocks go through ``rack_maps`` in
-        passes of ``_ENCODE_BLOCK`` stripes: A_r = W_r * M_r for each
-        residue r, then row (e, g) of C is sum_r E[g, r] * A_r[e], one
-        product with E over all racks at once.
+        passes of ``_ENCODE_BYTES`` of code symbols: A_r = W_r * M_r for
+        each residue r, then row (e, g) of C is sum_r E[g, r] * A_r[e],
+        one product with E over all racks at once.
         """
         if data.shape[0] != self.B:
             raise ParameterError(f"data block must have {self.B} rows")
@@ -247,7 +261,7 @@ class MbrrCode:
         p = self.params
         d = p.dbar
         stripes = data.shape[1]
-        if d * stripes <= _GF256_NARROW:
+        if stripes <= _DENSE_STRIPES:
             gather, weights = self.dense_map
             cells = data.take(gather, axis=0).reshape(weights.shape[1], d * stripes)
             code = F.np_matmul(weights, cells)
@@ -255,8 +269,10 @@ class MbrrCode:
             return code
         gather, weights, twiddle = self.rack_maps
         out = np.empty((p.n * d, stripes), dtype=F.np_dtype)
-        for s in range(0, stripes, _ENCODE_BLOCK):
-            block = data[gather, s : s + _ENCODE_BLOCK]
+        nodes = out.reshape(p.nbar, p.u, d, stripes)  # rack, slot, row, stripe
+        step = max(1, _ENCODE_BYTES // (p.n * d * F.symbol_width))
+        for s in range(0, stripes, step):
+            block = data[gather, s : s + step]
             width = block.shape[1]
             cols = block.reshape(-1, d * width)  # row t: column j_t of M, cell by cell
             racks = np.empty((p.u, p.nbar, d * width), dtype=F.np_dtype)
@@ -265,9 +281,7 @@ class MbrrCode:
                 racks[r] = F.np_matmul(w, cols[start : start + w.shape[1]])
                 start += w.shape[1]
             code = F.np_matmul(twiddle, racks.reshape(p.u, -1))  # row g: slot g of each rack
-            out[:, s : s + width] = (
-                code.reshape(p.u, p.nbar, d, width).transpose(1, 0, 2, 3).reshape(-1, width)
-            )
+            nodes[..., s : s + width] = code.reshape(p.u, p.nbar, d, width).transpose(1, 0, 2, 3)
         return out
 
     # -- repair ----------------------------------------------------------------

@@ -449,11 +449,25 @@ ROUTE_CODES = [
 
 
 def route_widths(code):
-    """0, 1, the widest block MBRR encodes with one product at the code's
-    dbar and one stripe more (16/17 at dbar 4, 32/33 at 2, 64/65 at 1), or
-    any width up to 80."""
-    split = _GF256_NARROW // code.params.dbar
+    """0, 1, the widest block MBRR encodes with one product and one stripe
+    more, or any width up to 80."""
+    split = mbrr_module._DENSE_STRIPES
     return st.one_of(st.sampled_from([0, 1, split, split + 1]), st.integers(2, 80))
+
+
+def kernel_widths(code):
+    """Stripe counts on both sides of the GF(256) kernel split for each
+    encode product: the parity rows (MSRR, one column per stripe), the rack
+    maps W_r (dbar columns per stripe) and the twiddle E (nbar * dbar), with
+    the widths past the split up to the next multiple of 8, which the
+    bit-sliced kernel reads in place."""
+    p = code.params
+    per_stripe = [1] if code.code_type == MSRR else [p.dbar, p.nbar * p.dbar]
+    widths = set()
+    for c in per_stripe:
+        split = _GF256_NARROW // c
+        widths.update(range(split, split + 9))
+    return sorted(widths)
 
 
 # a code and a width drawn for it
@@ -497,9 +511,10 @@ ROUTE_IDS = [f"{c.code_type}-n{c.params.n}-k{c.params.k}-d{c.params.dbar}" for c
 
 @pytest.mark.parametrize("code", ROUTE_CODES, ids=ROUTE_IDS)
 def test_encode_split_widths_equal_the_generator_product(code):
-    # the fixed widths the strategy above samples, and 65-80, for every code
-    split = _GF256_NARROW // code.params.dbar
-    for width in (0, 1, split, split + 1, *range(65, 81)):
+    # the fixed widths the strategy above samples and the kernel split's
+    # widths, for every code
+    split = mbrr_module._DENSE_STRIPES
+    for width in (0, 1, split, split + 1, *kernel_widths(code)):
         for transposed in (False, True):
             data = route_block(code, width, width, False, transposed)
             assert np.array_equal(
@@ -515,10 +530,35 @@ ROUTE_MBRR = [c for c in ROUTE_CODES if c.code_type == MBRR]
     "code", ROUTE_MBRR, ids=[f"n{c.params.n}-k{c.params.k}-d{c.params.dbar}" for c in ROUTE_MBRR]
 )
 def test_mbrr_encode_passes_match_one_pass(code, block):
-    # 65 and 71 stripes end with a partial pass for every block size,
-    # 70 fills its last pass of 7 exactly
+    # a budget one byte short of block + 1 stripes of code symbols gives
+    # passes of block stripes; 65 and 71 stripes end with a partial pass
+    # for every block size, 70 fills its last pass of 7 exactly
+    p = code.params
+    budget = (block + 1) * p.n * p.dbar * code.field.symbol_width - 1
     for width in (65, 70, 71):
         data = route_block(code, width, width, False, True)
-        with mock.patch.object(mbrr_module, "_ENCODE_BLOCK", block):
+        with mock.patch.object(mbrr_module, "_ENCODE_BYTES", budget):
             passes = code.encode_stripes(data)
         assert np.array_equal(passes, code.field.np_matmul(generator(code), data))
+
+
+# the production shape over GF(256), uint8 symbols, and a small shape over
+# GF(257), whose symbols take uint16
+PASS_CODES = [
+    bulk.build_code(MBRR, SystemParams(n=50, u=5, k=44, dbar=4), Gf256Field(5)),
+    bulk.build_code(MBRR, SystemParams(n=12, u=4, k=10, dbar=2), PrimeField(257, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "code,dtype", zip(PASS_CODES, [np.uint8, np.uint16]), ids=["gf256", "gf257"]
+)
+def test_mbrr_encode_across_the_pass_boundary(code, dtype):
+    # one pass holds _ENCODE_BYTES of code symbols: 5,242 stripes at
+    # (50,5,44,4) over GF(256), 21,845 at (12,4,10,2) over GF(257)
+    p = code.params
+    step = mbrr_module._ENCODE_BYTES // (p.n * p.dbar * code.field.symbol_width)
+    assert code.field.np_dtype == dtype
+    for width in (step - 1, step, step + 1, 2 * step + 3):
+        data = route_block(code, width, width, False, True)
+        assert np.array_equal(code.encode_stripes(data), code.field.np_matmul(generator(code), data))

@@ -13,7 +13,7 @@ import pytest
 
 from rarc import bulk, cli, selftest
 from rarc.cli import main
-from rarc.field import _GF256_NARROW, PrimeField
+from rarc.field import PrimeField
 from rarc.formats import (
     EncodedFile,
     format_thousandths,
@@ -21,6 +21,7 @@ from rarc.formats import (
     parse_report,
     serialize_encoded,
 )
+from rarc.mbrr import _DENSE_STRIPES
 from rarc.msrr import MsrrCode
 from rarc.params import SystemParams
 from rarc.sim import Cluster, RepairPolicy
@@ -147,9 +148,14 @@ def test_encode_is_deterministic(tmp_path, capsys):
 
 
 # SHA-256 of the encoded file of random.Random(14).randbytes(size): a
-# narrow payload (for MBRR, dbar * stripes <= 64: one product with its
-# powers) and a wide one (the rack maps) per code and production shape
+# narrow payload (for MBRR, at most _DENSE_STRIPES stripes: one product
+# with its powers) and two wider ones (the rack maps) per code and
+# production shape
 ENCODED_SHA256 = {
+    ("msrr", "50 5 44 4", 500): "f80a30f49f6db7adfff7ece15c6bbd89b7d51ef2991d4f77ab10dcdc33419bcd",
+    ("mbrr", "50 5 44 4", 500): "6c88d5942155104afd8ac00affaf156c58e931107e103b8ca78078645070be95",
+    ("msrr", "132 4 120 4", 500): "0122d039d2bf475e5ec8b4277379f3a19aeb341fa1505d247c88ce4ab6ada831",
+    ("mbrr", "132 4 120 4", 500): "2549898ae9ebad9f75c5e7ac2a602b0b504aba5d9c47425c3340b7409ce43ad7",
     ("msrr", "50 5 44 4", 2000): "36b6a1c9b3e087280e3400815b1d44b79cd429d4aff91cba8272cf737902e42c",
     ("msrr", "50 5 44 4", 100000): "6cb88f08032ee26895b9e8d8707e2d4333f1e36446c9e2ec9cde78e06ff88de8",
     ("mbrr", "50 5 44 4", 2000): "6f916e4add4a40ecee423b1b4320973f08aa043cae267d0b81307ceaa41763b7",
@@ -175,7 +181,7 @@ def test_encoded_bytes_are_pinned(tmp_path, capsys, code, shape, size):
     assert hashlib.sha256(encoded).hexdigest() == ENCODED_SHA256[code, shape, size]
     stripes = parse_encoded(encoded).body.shape[0]
     if code == "mbrr":
-        assert (int(d) * stripes <= _GF256_NARROW) == (size == 2000)
+        assert (stripes <= _DENSE_STRIPES) == (size == 500)
 
 
 def test_repair_policies_and_seeded_randomness(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -279,8 +280,9 @@ def test_np_kernels_match_scalar_ops():
 KERNEL_FIELDS = [Gf256Field(5), PrimeField(131, 2), PrimeField(137, 4), PrimeField(307, 2)]
 
 
-# GF(256) multiplies up to _GF256_NARROW columns by one table gather and
-# wider ones in uint64 words: 72 columns are read in place, 65 are padded
+# GF(256) multiplies up to _GF256_NARROW columns by table gathers and
+# wider ones in uint64 words: _GF256_NARROW + 8 columns are read in place,
+# _GF256_NARROW + 1 are padded
 WIDTHS = st.one_of(
     st.integers(0, 7), st.sampled_from([_GF256_NARROW, _GF256_NARROW + 1, _GF256_NARROW + 8])
 )
@@ -294,6 +296,10 @@ def matmul_case(draw, fields=KERNEL_FIELDS, widths=WIDTHS):
     entry = st.one_of(st.sampled_from([0, 1]), st.integers(0, f.q - 1))
 
     def matrix(rows, cols):
+        if rows * cols > 1024:
+            # more entries than Hypothesis draws for one list: seeded symbols
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            return rng.integers(0, f.q, (rows, cols)).astype(f.np_dtype)
         flat = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
         return np.array(flat, dtype=f.np_dtype).reshape(rows, cols)
 
@@ -326,11 +332,30 @@ def test_np_matmul_matches_scalar_triple_loop(case):
 @given(matmul_case(KERNEL_FIELDS[:1], st.integers(0, 7)), st.integers(1, 40))
 def test_gf256_gather_in_row_blocks_matches_wide_kernel(case, gather):
     f, a, b = case
-    # padding b past _GF256_NARROW columns sends it through the wide kernel
+    # padding b past _GF256_NARROW columns sends it through the wide kernel;
+    # a gather budget below the inner axis times the width splits the columns
     walked = f.np_matmul(a, np.concatenate([b, np.zeros((b.shape[0], _GF256_NARROW), np.uint8)], 1))
     with mock.patch.object(field_module, "_GF256_GATHER", gather):
         got = f.np_matmul(a, b)
     assert got.tolist() == walked[:, : b.shape[1]].tolist()
+
+
+def test_gf256_gather_bounds_its_temporaries_at_a_long_inner_axis():
+    # one row of 2,048 x _GF256_NARROW products would take tens of MB of
+    # index and product temporaries; blocks of columns keep each pass
+    # within _GF256_GATHER products, 11 bytes each
+    f = KERNEL_FIELDS[0]
+    rng = np.random.default_rng(2048)
+    a = rng.integers(0, 256, (3, 2048), dtype=np.uint8)
+    b = rng.integers(0, 256, (2048, _GF256_NARROW), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        got = f._gather_matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 11 * field_module._GF256_GATHER + got.nbytes
+    assert got.tolist() == f._bitsliced_matmul(a, b).tolist()
 
 
 @pytest.mark.parametrize("width", [256, 259])
