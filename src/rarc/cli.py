@@ -215,7 +215,7 @@ def cmd_reconstruct(args) -> int:
     alpha = ef.alpha
     rows = ef.body.T[[idx * alpha + i for idx in nodes for i in range(alpha)], :]
     data = code.reconstruct_stripes(nodes, rows)
-    payload = symbols_to_payload(field, data.T.reshape(-1), ef.payload_len)
+    payload = symbols_to_payload(field, data.T.reshape(-1), ef.payload_len, stripe=code.B)
     Path(args.output).write_bytes(payload)
     _write_record("reconstructed", {"nodes": len(nodes), "payload_bytes": len(payload)})
     return 0

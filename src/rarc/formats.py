@@ -149,10 +149,16 @@ def payload_to_symbols(field: FieldSpec, payload: bytes) -> np.ndarray:
     return pairs.reshape(-1).take(np.flatnonzero(keep))
 
 
-def symbols_to_payload(field: FieldSpec, symbols: np.ndarray, payload_len: int) -> bytes:
-    """Inverse of ``payload_to_symbols``; symbols after the payload's last
-    byte (stripe padding) are ignored.  A stream that no payload packs to
-    raises ``FormatError``."""
+def symbols_to_payload(
+    field: FieldSpec, symbols: np.ndarray, payload_len: int, *, stripe: int
+) -> bytes:
+    """Inverse of ``payload_to_symbols``.  A stream that no payload packs to
+    raises ``FormatError``.
+
+    The symbols after the payload's last byte are stripe padding: they
+    must be all zero and fewer than ``stripe``, the data symbols per
+    stripe, as ``rarc encode`` writes them, or they raise ``FormatError``.
+    """
     q = field.q
     symbols = np.asarray(symbols).reshape(-1)
     if q >= 256:
@@ -163,6 +169,7 @@ def symbols_to_payload(field: FieldSpec, symbols: np.ndarray, payload_len: int) 
             )
         if head.size and (head.min() < 0 or head.max() > 0xFF):
             raise FormatError("symbol is not a byte")
+        _check_padding(symbols[payload_len:], stripe)
         return head.astype(np.uint8).tobytes()
     escape = q - 1
     # A symbol right after an escape is the second half of a pair.  Read
@@ -190,7 +197,19 @@ def symbols_to_payload(field: FieldSpec, symbols: np.ndarray, payload_len: int) 
         raise FormatError(
             f"payload truncated: expected {payload_len} bytes, got {lead.size}"
         )
+    # ``starts`` now points one past each lead, and a pair ends one further
+    end = int(starts[-1]) + int(escaped[-1]) if payload_len else 0
+    _check_padding(symbols[end:], stripe)
     return (lead + tail).astype(np.uint8).tobytes()
+
+
+def _check_padding(padding: np.ndarray, stripe: int) -> None:
+    if padding.size >= stripe:
+        raise FormatError(
+            f"{padding.size} symbols follow the payload, a stripe of {stripe} or more"
+        )
+    if padding.any():
+        raise FormatError("stripe padding after the payload is not zero")
 
 
 # -- structured-text reports ----------------------------------------------------

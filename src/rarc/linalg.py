@@ -75,13 +75,21 @@ def vandermonde_inverse(F, points: Sequence[int]) -> np.ndarray:
         num[m - 1] = root[m]
     for j in range(m - 1, 0, -1):
         num[j - 1] = F.np_add(F.np_mul(num[j], x), root[j])
-    # prod_{j != i} (x_i - x_j), multiplying the columns of the difference
-    # table together pairwise
+    # prod_{j != i} (x_i - x_j)
     diff = F.np_add(x[:, None], neg[None, :])
     np.fill_diagonal(diff, 1)
-    while diff.shape[1] > 1:
-        half = diff.shape[1] // 2
-        paired = F.np_mul(diff[:, :half], diff[:, half : 2 * half])
-        diff = np.concatenate([paired, diff[:, 2 * half :]], axis=1)
-    scale = np.array([F.inv(d) for d in diff[:, :1].ravel().tolist()], dtype=F.np_dtype)
+    scale = np.array([F.inv(d) for d in row_products(F, diff).tolist()], dtype=F.np_dtype)
     return F.np_mul(num, scale[None, :])
+
+
+def row_products(F, table: np.ndarray) -> np.ndarray:
+    """The product of each row of the 2-D array ``table`` (1 for a row of
+    no entries), multiplying its columns together pairwise: O(log width)
+    elementwise array steps."""
+    if table.shape[1] == 0:
+        return np.ones(table.shape[0], dtype=F.np_dtype)
+    while table.shape[1] > 1:
+        half = table.shape[1] // 2
+        paired = F.np_mul(table[:, :half], table[:, half : 2 * half])
+        table = np.concatenate([paired, table[:, 2 * half :]], axis=1)
+    return table[:, 0]

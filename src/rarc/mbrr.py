@@ -22,16 +22,19 @@ arrays, which ``bulk.repair_stripes`` applies to the stored rows of a
 ``cell_layout`` is the one description of where the data symbols sit in
 M; both encoders and the reconstruct structure checks index through it.
 Encoding maps a block of stripe columns to the columns of the dbar x n
-code matrix C = M * Lambda, node by node, and reconstruction applies the
-inverse of the Vandermonde matrix on k given points; a single stripe is a
-one-column block.  A block of at most ``_DENSE_STRIPES`` stripes takes
-C = M * Lambda as one product: ``powers``, on the columns of M that are
-not structurally zero, times the message cells.  Wider blocks use the
-rack identity: for column j = t*u + r of M, lam[(e,g)]**j = xi**(e*j) *
-eta**(g*r), so C is a product with the nbar x |J_r| matrix W_r[e, t] =
-xi**(e*j_t) for each residue r, over the columns j_t = r (mod u) of M,
-followed by one product with the u x u matrix E[g, r] = eta**(g*r), in
-passes of ``_ENCODE_BYTES`` of code symbols.
+code matrix C = M * Lambda, node by node.  Reconstruction applies one
+fixed inverse, on the points of nodes 0 ... k-1 (``reconstruct_maps``),
+after filling the rows of those of them that are not given: every row of
+C is a codeword of a generalized Reed-Solomon (GRS) code of dimension k
+on ``lam``, so only the erased points are inverted per call.  A single
+stripe is a one-column block.  A block of at most ``_DENSE_STRIPES``
+stripes takes C = M * Lambda as one product: ``powers``, on the columns
+of M that are not structurally zero, times the message cells.  Wider
+blocks use the rack identity: for column j = t*u + r of M, lam[(e,g)]**j
+= xi**(e*j) * eta**(g*r), so C is a product with the nbar x |J_r| matrix
+W_r[e, t] = xi**(e*j_t) for each residue r, over the columns j_t = r
+(mod u) of M, followed by one product with the u x u matrix E[g, r] =
+eta**(g*r), in passes of ``_ENCODE_BYTES`` of code symbols.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from .errors import ParameterError, VerificationError
 from .field import _BUILD_BUDGET, FieldSpec, eval_points
-from .linalg import vandermonde_inverse
+from .linalg import row_products, vandermonde_inverse
 from .params import SystemParams, check_helper_racks, check_node_set
 
 #: Message layouts kept per process, one per SystemParams.
@@ -135,6 +138,11 @@ def cell_layout(p: SystemParams) -> CellLayout:
     for arr in arrays:
         arr.setflags(write=False)
     return CellLayout(*arrays)
+
+
+def _differences(F, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a) x len(b)): entry (i, j) is a[i] - b[j]."""
+    return F.np_add(a[:, None], F.np_neg(b)[None, :])
 
 
 class MbrrCode:
@@ -242,6 +250,41 @@ class MbrrCode:
             arr.setflags(write=False)
         return gather, weights, twiddle
 
+    @functools.cached_property
+    def reconstruct_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The fixed maps of ``reconstruct_stripes``, read-only, derived on
+        the first reconstruct: ``weights``, the GRS column multipliers
+        v_c = 1 / prod_{l != c} (lam[c] - lam[l]) of all n points;
+        ``gaps``, prod_{l < k, l != c} (lam[c] - lam[l]) for c < k; and
+        ``base``, the k x k inverse on the points of nodes 0 ... k-1.
+
+        The points of rack e' are the roots of X**u - x_e', so the product
+        over them at a point of rack e is x_e - x_e', and v_(e,g) is
+        ``leading_weights[e, g]`` over D_e = prod_{e' != e} (x_e - x_e').
+        The rack points x_e = z**e, z = xi**u, are a geometric sequence:
+        D_e = z**(e(e-1)/2 + e(nbar-1-e)) * prod_{j=1..e} (z**j - 1) *
+        prod_{j=1..nbar-1-e} (1 - z**j), two running products, so the maps
+        cost O(n + k**2) for any shape the build budget admits.
+        """
+        p = self.params
+        F = self.field
+        rise, fall = [1], [1]
+        for x in self.rack_points[1:]:
+            rise.append(F.mul(rise[-1], F.sub(x, 1)))
+            fall.append(F.mul(fall[-1], F.sub(1, x)))
+        z, top = F.pow(F.xi, p.u), p.nbar - 1
+        rack = [
+            F.inv(F.mul(F.pow(z, e * (e - 1) // 2 + e * (top - e)), F.mul(rise[e], fall[top - e])))
+            for e in range(p.nbar)
+        ]
+        weights = F.np_mul(self.leading_weights, np.array(rack, F.np_dtype)[:, None]).ravel()
+        base = vandermonde_inverse(F, self.lam[: p.k])
+        # its last row holds the top coefficients of the Lagrange polynomials
+        gaps = np.array([F.inv(x) for x in base[-1].tolist()], dtype=F.np_dtype)
+        for arr in (weights, gaps, base):
+            arr.setflags(write=False)
+        return weights, gaps, base
+
     # -- encoding ------------------------------------------------------------
 
     def encode_stripes(self, data: np.ndarray) -> np.ndarray:
@@ -339,9 +382,9 @@ class MbrrCode:
         """Recover (B x stripes) data from the column rows of >= k nodes.
 
         ``symbols`` holds dbar consecutive rows per entry of ``nodes``.  The
-        inverse Vandermonde matrix on the k lowest-indexed nodes maps their
-        rows to M transposed; extra nodes and the message structure are
-        verified per stripe.
+        k lowest-indexed given nodes K decode (``_decode``); the extra
+        nodes and the message structure (symmetric block, zero boundary
+        tail) are verified per stripe.
         """
         p = self.params
         F = self.field
@@ -352,12 +395,13 @@ class MbrrCode:
         stripes = symbols.shape[1]
         rows = symbols.reshape(len(nodes), d * stripes)  # one row per node
         order = sorted(range(len(nodes)), key=nodes.__getitem__)
-        base, extra = order[: p.k], order[p.k :]
-        vinv = vandermonde_inverse(F, [self.lam[nodes[a]] for a in base])
-        cells = F.np_matmul(vinv, rows[base])  # cells[j, i*stripes + s] = M[i][j]
+        use, extra = order[: p.k], order[p.k :]
+        # an ascending node list leads with its k lowest nodes: no gather
+        given = rows[: p.k] if use == list(range(p.k)) else rows[use]
+        cells = self._decode([nodes[a] for a in use], given)  # cells[j, i*stripes + s] = M[i][j]
         if extra:
-            # the k base columns define every stripe's M, so a mismatch cannot
-            # say which of the given columns is bad
+            # the k decoding columns define every stripe's M, so a mismatch
+            # cannot say which of the given columns is bad
             predicted = F.np_matmul(self.powers[[nodes[a] for a in extra]], cells)
             bad = (predicted != rows[extra]).reshape(len(extra), d, stripes).any(axis=(0, 1))
             if bad.any():
@@ -371,6 +415,54 @@ class MbrrCode:
         if cells[layout.zero].any():
             raise VerificationError("zero tail of the boundary columns is nonzero")
         return cells[layout.data]
+
+    def _decode(self, known: list[int], given: np.ndarray) -> np.ndarray:
+        """M transposed from the rows ``given`` of the k ascending nodes
+        ``known`` (K), exactly the inverse on K's points applied to them.
+
+        The fixed ``base`` inverse maps the rows of nodes 0 ... k-1 to M
+        transposed, so the rows of the m nodes E below k that are not in K
+        are filled first; as many nodes of K lie past k.  The points of
+        nodes 0 ... k-1 and of K form a set S of k + m points, on which
+        each row of C is a codeword of the GRS code of dimension k with the
+        m check rows H[t, c] = w_c * lam[c]**t, t < m, and the multipliers
+        w_c = 1 / prod_{l in S, l != c} (lam[c] - lam[l]): v_c (``weights``)
+        times the product over the points outside S on K, while on E
+        1/w_e is ``gaps`` times the product over K's points past k.  With V
+        the Vandermonde matrix on E's points the filled rows are
+        Phi = -diag(1/w_E) (V^-1)^T H[:, K] times those of K, and
+        M transposed is base[:, K] + base[:, E] Phi times them, base[:, K]
+        being zero on K's nodes past k.  Only the m <= min(k, n - k) points
+        of E are inverted.
+        """
+        p = self.params
+        F = self.field
+        weights, gaps, base = self.reconstruct_maps
+        erased = np.ones(p.n, dtype=bool)
+        erased[known] = False
+        lost = np.flatnonzero(erased[: p.k])
+        m = lost.size  # as many of K's nodes lie past k
+        if not m:
+            return F.np_matmul(base, given)
+        erased[: p.k] = False  # now the nodes outside S
+        lam = np.array(self.lam, dtype=F.np_dtype)
+        w = weights[known]
+        if erased.any():
+            w = F.np_mul(w, row_products(F, _differences(F, lam[known], lam[erased])))
+        table = _differences(F, lam[lost], lam[known[p.k - m :]])
+        scale = F.np_neg(F.np_mul(gaps[lost], row_products(F, table)))  # -1 / w_E
+        vinv = vandermonde_inverse(F, lam[lost].tolist())
+        lead = F.np_mul(scale[:, None], vinv.T)
+        checks = F.np_mul(self.powers[known, :m].T, w[None, :])
+        direct, spread = base[:, known[: p.k - m]], base[:, lost]
+        # one product in its cheaper order: composing the k x k map costs
+        # m * k * (k + m) once and saves m * (k + m) per column
+        if given.shape[1] > p.k:
+            decode = F.np_matmul(spread, F.np_matmul(lead, checks))
+            decode[:, : p.k - m] = F.np_add(decode[:, : p.k - m], direct)
+            return F.np_matmul(decode, given)
+        fill = F.np_matmul(lead, F.np_matmul(checks, given))
+        return F.np_add(F.np_matmul(direct, given[: p.k - m]), F.np_matmul(spread, fill))
 
     def reconstruct(self, available: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
         """Recover the data file from any k node columns, as one stripe

@@ -462,6 +462,22 @@ def test_build_budget_edge(tmp_path, capsys, code, at_budget, over):
     assert "fixed maps cost" in err and "over 4194304" in err
 
 
+def test_mbrr_with_many_more_nodes_than_k_round_trips(tmp_path, capsys):
+    # n * k * (dbar + 1) = 3000 * 40 * 5 is far inside the build budget, and
+    # reconstruct inverts at most k of the n - k = 2960 erasable points
+    src, enc, out = tmp_path / "payload.bin", tmp_path / "data.rarc", tmp_path / "payload.out"
+    src.write_bytes(random.Random(3000).randbytes(1000))
+    rc, _, _ = run_cli(
+        capsys, "encode", "--code", "mbrr", "--n", "3000", "--u", "4", "--k", "40", "--d", "4",
+        str(src), str(enc),
+    )
+    assert rc == 0
+    for nodes in ("2960-2999", "0,1500-1538", "0-2999"):
+        rc, _, _ = run_cli(capsys, "reconstruct", "--nodes", nodes, str(enc), str(out))
+        assert rc == 0
+        assert out.read_bytes() == src.read_bytes()
+
+
 @pytest.mark.parametrize(
     "p,stream,payload_len",
     [
@@ -482,6 +498,35 @@ def test_reconstruct_rejects_symbols_no_payload_packs_to(tmp_path, capsys, p, st
     rc, _, err = run_cli(capsys, "reconstruct", "--nodes", "0-5", str(enc), str(tmp_path / "o"))
     assert rc == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("code", ["msrr", "mbrr"])
+@pytest.mark.parametrize("shape", ["50 5 44 4", "132 4 120 4"])
+def test_reconstruct_rejects_a_trailer_that_leaves_payload_as_padding(tmp_path, capsys, code, shape):
+    # GF(256) at (50,5,44,4) unpacks a byte per symbol, GF(137) at
+    # (132,4,120,4) through escape pairs
+    n, u, k, d = shape.split()
+    payload = bytearray(random.Random(22).randbytes(20_000))
+    payload[-1] = 0xC8  # a nonzero last byte, an escape pair over GF(137)
+    src, enc, out = tmp_path / "payload.bin", tmp_path / "data.rarc", tmp_path / "payload.out"
+    src.write_bytes(payload)
+    rc, _, _ = run_cli(
+        capsys,
+        "encode", "--code", code, "--n", n, "--u", u, "--k", k, "--d", d, str(src), str(enc),
+    )
+    assert rc == 0
+    blob = enc.read_bytes()
+    nodes = f"0-{int(n) - 1}"
+    # 1,000 bytes are more than a stripe of any of these codes
+    for length, message in [(len(payload) - 1, "not zero"), (len(payload) - 1000, "or more")]:
+        enc.write_bytes(blob[:-8] + struct.pack("<Q", length))
+        rc, _, err = run_cli(capsys, "reconstruct", "--nodes", nodes, str(enc), str(out))
+        assert rc == 1
+        assert err.startswith("error: ") and message in err
+    enc.write_bytes(blob)
+    rc, _, _ = run_cli(capsys, "reconstruct", "--nodes", nodes, str(enc), str(out))
+    assert rc == 0
+    assert out.read_bytes() == payload
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,39 @@ def test_msrr_block_reconstruct_equals_oracle_stripe_by_stripe(data):
         assert got == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mbrr_block_reconstruct_equals_oracle_stripe_by_stripe(data):
+    code = data.draw(st.sampled_from(MBRR_CODES))
+    p, F = code.params, code.field
+    # past k / dbar stripes the decode composes its map, below it applies
+    # the fill to the rows
+    stripes = data.draw(st.sampled_from([1, 2, 3, p.k // p.dbar + 1]))
+    messages = [data.draw(symbols(code, code.B)) for _ in range(stripes)]
+    body = code.encode_stripes(F.symbol_array(messages).T).reshape(p.n, p.dbar, stripes).copy()
+    nodes, damaged = data.draw(node_set(code))
+    stripe = data.draw(st.integers(0, stripes - 1))
+    if damaged is not None:
+        row = data.draw(st.integers(0, p.dbar - 1))
+        delta = data.draw(st.integers(1, F.q - 1))
+        body[damaged, row, stripe] = F.add(int(body[damaged, row, stripe]), delta)
+    expected = [
+        outcome(oracle.mbrr_reconstruct, code, [(i, body[i, :, s].tolist()) for i in nodes])
+        for s in range(stripes)
+    ]
+    rows = body[nodes].reshape(-1, stripes)
+    got = outcome(lambda: code.reconstruct_stripes(nodes, rows).T.tolist())
+    if any(e in FAILURES for e in expected):
+        assert got is VerificationError
+    else:
+        assert got == expected
+    # past k nodes the given ones are a code of distance >= 2, so one flip is
+    # always caught, and by the extra nodes before the message structure
+    if damaged is not None and len(nodes) > p.k:
+        with pytest.raises(VerificationError, match=f"inconsistent, first at stripe {stripe}$"):
+            code.reconstruct_stripes(nodes, rows)
+
+
 def test_mbrr_encode_of_an_unstructured_matrix_is_m_times_lambda():
     code = MBRR_CODES[2]
     p = code.params

@@ -144,7 +144,7 @@ def test_gf256_packing_is_identity():
     payload = bytes(range(256))
     symbols = payload_to_symbols(f, payload)
     assert symbols.tolist() == list(range(256))
-    assert symbols_to_payload(f, symbols, 256) == payload
+    assert symbols_to_payload(f, symbols, 256, stripe=1) == payload
 
 
 def test_wide_prime_packing_is_byte_per_symbol():
@@ -152,7 +152,7 @@ def test_wide_prime_packing_is_byte_per_symbol():
     payload = bytes(range(256))
     symbols = payload_to_symbols(f, payload)
     assert symbols.tolist() == list(range(256))
-    assert symbols_to_payload(f, symbols, 256) == payload
+    assert symbols_to_payload(f, symbols, 256, stripe=1) == payload
 
 
 def test_small_prime_escape_covers_every_byte():
@@ -162,14 +162,14 @@ def test_small_prime_escape_covers_every_byte():
     assert all(0 <= s < f.q for s in symbols)
     # bytes below the escape stay single symbols, the rest become pairs
     assert len(symbols) == 130 + 2 * 126
-    assert symbols_to_payload(f, symbols, 256) == payload
+    assert symbols_to_payload(f, symbols, 256, stripe=1) == payload
 
 
 def test_small_prime_packing_with_padding_round_trip():
     f = make_field(130, 2, "prime")
     payload = bytes(RNG.randrange(256) for _ in range(999))
     symbols = payload_to_symbols(f, payload).tolist() + [0] * 57  # stripe padding
-    assert symbols_to_payload(f, symbols, len(payload)) == payload
+    assert symbols_to_payload(f, symbols, len(payload), stripe=58) == payload
 
 
 def test_tiny_prime_field_refuses_payloads():
@@ -181,7 +181,7 @@ def test_tiny_prime_field_refuses_payloads():
 def test_truncated_symbol_stream_detected():
     f = make_field(50, 5, "gf256")
     with pytest.raises(FormatError):
-        symbols_to_payload(f, [1, 2, 3], 10)
+        symbols_to_payload(f, [1, 2, 3], 10, stripe=1)
 
 
 GF131 = PrimeField(131, 2)  # escape symbol 130: pairs carry 0..125
@@ -190,37 +190,62 @@ GF307 = PrimeField(307, 2)
 
 def test_escape_ending_the_payload_is_rejected():
     with pytest.raises(FormatError):
-        symbols_to_payload(GF131, [1, 2, 130], 3)
-    # an escape past the payload's last byte is padding and stays ignored
-    assert symbols_to_payload(GF131, [1, 2, 130], 2) == b"\x01\x02"
+        symbols_to_payload(GF131, [1, 2, 130], 3, stripe=1)
+    # past the payload's last byte it is nonzero stripe padding
+    with pytest.raises(FormatError, match="not zero"):
+        symbols_to_payload(GF131, [1, 2, 130], 2, stripe=2)
 
 
 def test_escape_followed_by_escape_is_rejected():
     with pytest.raises(FormatError):
-        symbols_to_payload(GF131, [5, 130, 130, 0], 2)
-    assert symbols_to_payload(GF131, [5, 130, 0, 130, 130], 2) == b"\x05\x82"
+        symbols_to_payload(GF131, [5, 130, 130, 0], 2, stripe=2)
+    assert symbols_to_payload(GF131, [5, 130, 0, 0, 0], 2, stripe=3) == b"\x05\x82"
+    # past the payload's last byte two escapes are nonzero stripe padding
+    with pytest.raises(FormatError, match="not zero"):
+        symbols_to_payload(GF131, [5, 130, 0, 130, 130], 2, stripe=3)
     # p = 11 packs no payload, but a crafted file can still name it; there
     # the pair (10, 10) would be a byte
     with pytest.raises(FormatError):
-        symbols_to_payload(PrimeField(11, 2), [10, 10, 3], 1)
+        symbols_to_payload(PrimeField(11, 2), [10, 10, 3], 1, stripe=2)
 
 
 def test_escape_pair_above_a_byte_is_rejected():
-    assert symbols_to_payload(GF131, [130, 125], 1) == b"\xff"
+    assert symbols_to_payload(GF131, [130, 125], 1, stripe=1) == b"\xff"
     with pytest.raises(FormatError):
-        symbols_to_payload(GF131, [130, 126], 1)
+        symbols_to_payload(GF131, [130, 126], 1, stripe=1)
+
+
+@pytest.mark.parametrize("field", [make_field(50, 5, "gf256"), GF131])
+def test_stripe_padding_must_be_zero_and_shorter_than_a_stripe(field):
+    payload = bytes([7, 9, 200])  # 200 packs as an escape pair over GF(131)
+    symbols = payload_to_symbols(field, payload).tolist()
+    assert symbols_to_payload(field, symbols + [0] * 4, 3, stripe=5) == payload
+    assert symbols_to_payload(field, symbols, 3, stripe=5) == payload
+    for padding in ([0] * 5, [0, 0, 1, 0]):
+        with pytest.raises(FormatError):
+            symbols_to_payload(field, symbols + padding, 3, stripe=5)
+    # a length one byte short leaves the payload's last byte as padding
+    with pytest.raises(FormatError, match="not zero"):
+        symbols_to_payload(field, symbols + [0], 2, stripe=5)
+    # and a zero length leaves every symbol
+    with pytest.raises(FormatError, match="a stripe of 5 or more"):
+        symbols_to_payload(field, [0] * 5, 0, stripe=5)
+    assert symbols_to_payload(field, [0] * 4, 0, stripe=5) == b""
 
 
 def test_symbol_outside_the_field_is_rejected():
     for bad in (131, 200, -1):
         with pytest.raises(FormatError):
-            symbols_to_payload(GF131, [4, bad], 2)
+            symbols_to_payload(GF131, [4, bad], 2, stripe=1)
 
 
 def test_wide_prime_symbol_above_a_byte_is_rejected():
     with pytest.raises(FormatError):
-        symbols_to_payload(GF307, np.array([7, 300, 0], dtype=np.uint16), 2)
-    assert symbols_to_payload(GF307, np.array([7, 255, 300], dtype=np.uint16), 2) == b"\x07\xff"
+        symbols_to_payload(GF307, np.array([7, 300, 0], dtype=np.uint16), 2, stripe=2)
+    assert symbols_to_payload(GF307, np.array([7, 255, 0], dtype=np.uint16), 2, stripe=2) == b"\x07\xff"
+    # past the payload's last byte it is nonzero stripe padding
+    with pytest.raises(FormatError, match="not zero"):
+        symbols_to_payload(GF307, np.array([7, 255, 300], dtype=np.uint16), 2, stripe=2)
 
 
 # every field the packer serves: bytes, the two escape primes, two-byte symbols
@@ -239,15 +264,17 @@ def reference_pack(q: int, payload: bytes) -> list[int]:
     return out
 
 
-def reference_unpack(q: int, symbols: list[int], payload_len: int) -> bytes:
+def reference_unpack(q: int, symbols: list[int], payload_len: int, stripe: int) -> bytes:
     """Scalar inverse of ``reference_pack``; raises FormatError on any
-    stream no payload packs to, up to the payload's last byte."""
+    stream no payload packs to, up to the payload's last byte, and on any
+    padding after it that is not fewer than ``stripe`` zeros."""
     escape = q - 1 if q < 256 else None
     out = bytearray()
     it = iter(symbols)
-    for s in it:
-        if len(out) == payload_len:
-            break
+    while len(out) < payload_len:
+        s = next(it, None)
+        if s is None:
+            raise FormatError("payload truncated")
         if s == escape:
             t = next(it, None)
             if t is None or t == escape or escape + t > 0xFF:
@@ -257,8 +284,9 @@ def reference_unpack(q: int, symbols: list[int], payload_len: int) -> bytes:
             raise FormatError("symbol is neither a byte nor in the field")
         else:
             out.append(s)
-    if len(out) < payload_len:
-        raise FormatError("payload truncated")
+    padding = list(it)
+    if len(padding) >= stripe or any(padding):
+        raise FormatError("bad stripe padding")
     return bytes(out)
 
 
@@ -269,7 +297,7 @@ def test_packing_round_trips_and_matches_reference(field, payload, padding):
     assert symbols.dtype == field.np_dtype
     assert symbols.tolist() == reference_pack(field.q, payload)
     padded = np.concatenate([symbols, np.zeros(padding, dtype=field.np_dtype)])
-    assert symbols_to_payload(field, padded, len(payload)) == payload
+    assert symbols_to_payload(field, padded, len(payload), stripe=padding + 1) == payload
 
 
 @st.composite
@@ -279,21 +307,21 @@ def symbol_stream(draw):
     edges = [s for s in (field.q - 1, 0, 125, 126, 255) if s < field.q]
     symbol = st.one_of(st.sampled_from(edges), st.integers(0, field.q - 1))
     symbols = draw(st.lists(symbol, max_size=30))
-    return field, symbols, draw(st.integers(0, len(symbols) + 2))
+    return field, symbols, draw(st.integers(0, len(symbols) + 2)), draw(st.integers(1, 8))
 
 
 @settings(max_examples=400, deadline=None)
 @given(symbol_stream())
 def test_unpacking_matches_reference_on_arbitrary_streams(case):
-    field, symbols, payload_len = case
+    field, symbols, payload_len, stripe = case
+    stream = np.array(symbols, dtype=field.np_dtype)
     try:
-        expected = reference_unpack(field.q, symbols, payload_len)
+        expected = reference_unpack(field.q, symbols, payload_len, stripe)
     except FormatError:
         with pytest.raises(FormatError):
-            symbols_to_payload(field, np.array(symbols, dtype=field.np_dtype), payload_len)
+            symbols_to_payload(field, stream, payload_len, stripe=stripe)
     else:
-        got = symbols_to_payload(field, np.array(symbols, dtype=field.np_dtype), payload_len)
-        assert got == expected
+        assert symbols_to_payload(field, stream, payload_len, stripe=stripe) == expected
 
 
 LONG = 100_000
@@ -315,8 +343,8 @@ def test_packing_at_scale_matches_reference(q, kind):
     expected = reference_pack(q, payload)
     assert symbols.tolist() == expected
     padded = np.concatenate([symbols, np.zeros(57, dtype=field.np_dtype)])
-    assert reference_unpack(q, expected + [0] * 57, LONG) == payload
-    assert symbols_to_payload(field, padded, LONG) == payload
+    assert reference_unpack(q, expected + [0] * 57, LONG, 58) == payload
+    assert symbols_to_payload(field, padded, LONG, stripe=58) == payload
 
 
 @pytest.mark.parametrize("q", [131, 137])
@@ -328,9 +356,9 @@ def test_malformed_end_of_a_long_stream_is_rejected(q, fault):
     tail = {"trailing escape": [escape], "escape then escape": [escape, escape, 0], "truncated": []}
     stream = symbols + tail[fault]
     with pytest.raises(FormatError):
-        reference_unpack(q, stream, LONG + 1)
+        reference_unpack(q, stream, LONG + 1, 58)
     with pytest.raises(FormatError):
-        symbols_to_payload(field, np.array(stream, dtype=field.np_dtype), LONG + 1)
+        symbols_to_payload(field, np.array(stream, dtype=field.np_dtype), LONG + 1, stripe=58)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from rarc import bulk
+from rarc import bulk, mbrr
 from rarc.errors import ParameterError, VerificationError
-from rarc.field import make_field
+from rarc.field import PrimeField, make_field
+from rarc.linalg import vandermonde_inverse
 from rarc.mbrr import MbrrCode, cell_layout, j1_columns, message_size
 from rarc.params import SystemParams, cutset_bound, mbrr_point
 from rarc.sim import Cluster, RepairPolicy
@@ -421,6 +423,114 @@ def test_reconstruct_structure_check_catches_corruption():
     cols[0][1][1] = code.field.add(cols[0][1][1], 3)
     with pytest.raises(VerificationError):
         code.reconstruct(cols)
+
+
+# the shapes whose closed-form column multipliers are checked one by one;
+# the last has 100 racks, so the rack products run long
+MAP_SHAPES = (
+    (SystemParams(n=50, u=5, k=44, dbar=4), make_field(50, 5, "gf256")),
+    (SystemParams(n=132, u=4, k=120, dbar=4), PrimeField(137, 4)),
+    (SystemParams(n=12, u=4, k=8, dbar=1), PrimeField(13, 4)),
+    (SystemParams(n=20, u=4, k=12, dbar=2), PrimeField(137, 4)),
+    (SystemParams(n=200, u=2, k=4, dbar=1), PrimeField(211, 2)),
+)
+
+
+@pytest.mark.parametrize("p,field", MAP_SHAPES)
+def test_reconstruct_maps_equal_their_definitions(p, field):
+    code = MbrrCode.build(p, field)
+    F = field
+    weights, gaps, base = code.reconstruct_maps
+    lam = code.lam
+    for c, x in enumerate(lam):
+        prod = 1
+        for l, y in enumerate(lam):
+            if l != c:
+                prod = F.mul(prod, F.sub(x, y))
+        assert int(weights[c]) == F.inv(prod)
+    for c, x in enumerate(lam[: p.k]):
+        prod = 1
+        for l, y in enumerate(lam[: p.k]):
+            if l != c:
+                prod = F.mul(prod, F.sub(x, y))
+        assert int(gaps[c]) == prod
+    # the n - k check rows v_c * lam[c]**t annihilate every row of C, and
+    # ``base`` inverts Lambda transposed (``powers``) on nodes 0 ... k-1
+    checks = np.array(
+        [[F.mul(int(weights[c]), F.pow(x, t)) for c, x in enumerate(lam)] for t in range(p.n - p.k)],
+        dtype=F.np_dtype,
+    )
+    rng = np.random.default_rng(p.n)
+    data = rng.integers(0, F.q, size=(code.B, 3)).astype(F.np_dtype)
+    body = code.encode_stripes(data).reshape(p.n, -1)
+    assert not F.np_matmul(checks, body).any()
+    assert (F.np_matmul(base, code.powers[: p.k]) == np.eye(p.k, dtype=F.np_dtype)).all()
+
+
+def test_reconstruct_maps_are_derived_once_on_first_reconstruct():
+    p, field = MAP_SHAPES[0]
+    code = MbrrCode.build(p, field)
+    assert "reconstruct_maps" not in code.__dict__
+    data = np.zeros((code.B, 2), dtype=field.np_dtype)
+    body = code.encode_stripes(data)
+    code.reconstruct_stripes(list(range(p.n)), body)
+    maps = code.__dict__["reconstruct_maps"]
+    code.reconstruct_stripes(list(range(p.n - p.k, p.n)), body[(p.n - p.k) * p.dbar :])
+    assert code.reconstruct_maps is maps
+    assert all(not arr.flags.writeable for arr in maps)
+
+
+def test_reconstruct_inverts_at_most_the_erased_points_per_call(monkeypatch):
+    p, field = MAP_SHAPES[0]
+    code = MbrrCode.build(p, field)
+    rng = random.Random(181)
+    data = np.array([random_data(code, rng) for _ in range(2)], dtype=field.np_dtype).T
+    body = code.encode_stripes(data).reshape(p.n, p.dbar, 2)
+    code.reconstruct_stripes(list(range(p.n)), body.reshape(-1, 2))
+    sizes = []
+
+    def spy(F, points):
+        sizes.append(len(points))
+        return vandermonde_inverse(F, points)
+
+    monkeypatch.setattr(mbrr, "vandermonde_inverse", spy)
+    for size in range(p.k, p.n + 1):
+        for nodes in (rng.sample(range(p.n), size), list(range(p.n - size, p.n))):
+            del sizes[:]
+            got = code.reconstruct_stripes(nodes, body[nodes].reshape(-1, 2))
+            assert (got == data).all()
+            # only the erased nodes below k are filled, at most n - k of them
+            lost = len(set(range(p.k)) - set(nodes))
+            assert sizes == ([lost] if lost else [])
+            assert lost <= p.n - size
+
+
+@pytest.mark.parametrize(
+    "p,field",
+    [
+        (SystemParams(n=4096, u=2, k=2, dbar=1), PrimeField(4099, 2)),
+        (SystemParams(n=3000, u=4, k=40, dbar=4), PrimeField(3001, 4)),
+    ],
+    ids=["n4096-k2", "n3000-k40"],
+)
+def test_reconstruct_of_many_nodes_and_small_k(p, field):
+    # n far above k: the fill inverts at most k points and every map is
+    # O(n * k), so these shapes, well inside the build budget, stay fast
+    code = MbrrCode.build(p, field)
+    rng = random.Random(p.n)
+    data = np.array([random_data(code, rng) for _ in range(3)], dtype=field.np_dtype).T
+    body = code.encode_stripes(data).reshape(p.n, p.dbar, 3)
+    for nodes in (
+        list(range(p.n - p.k, p.n)),
+        rng.sample(range(p.n), p.k),
+        [0] + list(range(p.n - p.k, p.n)),
+        list(range(p.n)),
+    ):
+        got = code.reconstruct_stripes(nodes, body[nodes].reshape(-1, 3))
+        assert (got == data).all()
+    body[p.n - 1, 0, 2] = field.add(int(body[p.n - 1, 0, 2]), 1)
+    with pytest.raises(VerificationError, match="first at stripe 2$"):
+        code.reconstruct_stripes(list(range(p.n)), body.reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------
