@@ -18,7 +18,7 @@ print(f"field: {field} with primitive xi={field.xi} and order-{field.u} eta={fie
 
 code = MsrrCode.build(p, field)
 print(f"check exponents T={code.T}, so the code carries B={code.B} message symbols")
-print(f"evaluation points (rack-major): {code.lam}")
+print(f"evaluation points (rack-major): {code.lam.tolist()}")
 print(
     f"systematic layout: message at {code.info_set.tolist()},"
     f" checks solved at {code.parity_set.tolist()}"

@@ -9,16 +9,7 @@ an on-disk encoded-file format.
 """
 
 from .errors import FormatError, ParameterError, SingularSystemError, VerificationError
-from .field import (
-    FieldSpec,
-    Gf256Field,
-    PrimeField,
-    derive_eta,
-    eval_points,
-    find_primitive,
-    make_field,
-    multiplicative_order,
-)
+from .field import FieldSpec, Gf256Field, PrimeField, eval_points, make_field
 from .mbrr import MbrrCode, message_size
 from .msrr import MsrrCode
 from .params import (
@@ -54,15 +45,12 @@ __all__ = [
     "TrafficLog",
     "VerificationError",
     "cutset_bound",
-    "derive_eta",
     "eval_points",
-    "find_primitive",
     "make_field",
     "mbrr_point",
     "message_size",
     "mincut_profile",
     "msrr_point",
-    "multiplicative_order",
     "overhead_pair",
     "sweep_table",
     "tradeoff_points",

@@ -1,14 +1,22 @@
 """Finite fields with the rack-structured evaluation-point family.
 
-Symbols are plain ints in ``[0, q - 1]``.  A field object carries the rack
-size ``u`` together with a primitive element ``xi`` and an element ``eta``
-of multiplicative order exactly ``u``.  The evaluation points
+Symbols are ints in ``[0, q - 1]``, held in arrays of ``np_dtype``.  A
+field object carries the rack size ``u``, the smallest primitive element
+``xi`` (the smallest element whose powers reach every nonzero element),
+``eta = xi**((q - 1)/u)`` of multiplicative order exactly ``u``, and two
+read-only tables: ``exp[i] = xi**i`` for i < q - 1 and ``log``, its
+inverse on the nonzero elements.  The evaluation points
 
-    lam[e * u + g] = xi**e * eta**g     (e = rack index, g = slot in rack)
+    lam[e * u + g] = xi**e * eta**g = xi**(e + g*(q - 1)/u)
 
 are pairwise distinct and nonzero whenever ``q > n``, and satisfy
 ``lam**u == xi**(e*u)`` independent of ``g`` -- the identity every repair
-path in this package leans on.
+path in this package leans on.  Every constant the codes derive is a power
+of ``xi``, so they are built as arithmetic on exponents.
+
+The arithmetic is on arrays only: ``np_add``, ``np_neg``, ``np_mul``,
+``np_inv``, ``np_matmul`` and the powers ``np_exp``.  The scalar reference
+arithmetic the tests check them against lives in ``tests/field_oracle.py``.
 
 Two concrete fields are provided: GF(256) under the classic Reed-Solomon
 modulus, and prime fields GF(p).  ``make_field`` picks a legal field for a
@@ -18,7 +26,6 @@ given cluster shape.
 from __future__ import annotations
 
 import functools
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,74 +77,30 @@ _GF256_GATHER = 1 << 16
 _FIELD_CACHE_SIZE = 16
 
 
-def _gf2_mul(a: int, b: int) -> int:
-    # Carry-less "Russian peasant" multiply, reduced mod GF256_MODULUS.
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0x100:
-            a ^= GF256_MODULUS
-    return r
+def _prime_factors(m: int) -> list[int]:
+    """The distinct prime factors of m, by trial division."""
+    factors, r = [], 2
+    while r * r <= m:
+        if m % r == 0:
+            factors.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    if m > 1:
+        factors.append(m)
+    return factors
 
 
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    i = 3
-    while i * i <= m:
-        if m % i == 0:
-            return False
-        i += 2
-    return True
-
-
-def multiplicative_order(field, a: int) -> int:
-    """Smallest m >= 1 with a**m == 1.  Raises for the zero element."""
-    if a == 0:
-        raise ParameterError("the zero element has no multiplicative order")
-    x = a
-    for m in range(1, field.q + 1):
-        if x == 1:
-            return m
-        x = field.mul(x, a)
-    raise ParameterError("element order exceeds group size; arithmetic is broken")
-
-
-def find_primitive(field) -> int:
-    """Smallest element of multiplicative order q - 1.
-
-    ``field`` only needs ``q`` and ``mul``; brute-force order checks keep the
-    selection deterministic and assumption-free.
-    """
-    if field.q == 2:
-        return 1
-    for g in range(2, field.q):
-        if multiplicative_order(field, g) == field.q - 1:
-            return g
-    raise ParameterError("no primitive element found; arithmetic is broken")
-
-
-def derive_eta(field, u: int) -> int:
-    """xi**((q-1)/u), verified to have multiplicative order exactly u."""
-    if u < 1 or (field.q - 1) % u != 0:
-        raise ParameterError(f"u={u} does not divide q-1={field.q - 1}")
-    eta = field.pow(field.xi, (field.q - 1) // u)
-    if multiplicative_order(field, eta) != u:
-        raise ParameterError("derived eta does not have order u; arithmetic is broken")
-    return eta
+    return _prime_factors(m) == [m]
 
 
 class FieldSpec:
-    """Base class: arithmetic comes from subclasses, structure lives here.
+    """Base class: the product comes from subclasses, the tables and
+    structure live here.
 
-    Attributes: ``kind``, ``modulus``, ``q``, ``u``, ``xi``, ``eta``.
+    Attributes: ``kind``, ``modulus``, ``q``, ``u``, ``xi``, ``eta``,
+    ``exp``, ``log``.
     """
 
     kind: str = "abstract"
@@ -150,33 +113,43 @@ class FieldSpec:
         if (self.q - 1) % u != 0:
             raise ParameterError(f"u={u} does not divide q-1={self.q - 1}")
         self.u = u
-        self.xi = find_primitive(self)
-        self.eta = derive_eta(self, u)
+        order = self.q - 1
+        self.xi = self._smallest_primitive()
+        # exp[L:2L] = exp[:L] * xi**L, doubling L
+        exp = np.ones(order, dtype=self.np_dtype)
+        step, size = self.np_dtype(self.xi), 1
+        while size < order:
+            exp[size : 2 * size] = self.np_mul(exp[: min(size, order - size)], step)
+            step, size = self.np_mul(step, step), 2 * size
+        log = np.zeros(self.q, dtype=np.intp)  # log[0] is a placeholder
+        log[exp] = np.arange(order)
+        # one field object serves every caller in the process
+        for arr in (exp, log):
+            arr.setflags(write=False)
+        self.exp, self.log = exp, log
+        self.eta = int(exp[order // u])
 
-    # -- scalar arithmetic -------------------------------------------------
+    def _smallest_primitive(self) -> int:
+        # a has order q - 1 exactly when a**((q-1)/r) != 1 for every prime r
+        # dividing q - 1: square-and-multiply over the candidates in blocks
+        # [2, 4), [4, 8), ..., so the search costs about as much as the last
+        order = self.q - 1
+        cofactors = np.array([order // r for r in _prime_factors(order)])[:, None]
+        start = 2
+        while start < self.q:
+            base = np.arange(start, min(2 * start, self.q)).astype(self.np_dtype)
+            power = np.ones((cofactors.size, base.size), dtype=self.np_dtype)
+            bits = cofactors
+            while bits.any():
+                power = np.where(bits & 1, self.np_mul(power, base), power)
+                base, bits = self.np_mul(base, base), bits >> 1
+            primitive = (power != 1).all(axis=0)
+            if primitive.any():
+                return start + int(primitive.argmax())
+            start *= 2
+        raise ParameterError("no primitive element found; arithmetic is broken")
 
-    def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def sub(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def neg(self, a: int) -> int:
-        raise NotImplementedError
-
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inv(self, a: int) -> int:
-        raise NotImplementedError
-
-    def pow(self, a: int, e: int) -> int:
-        raise NotImplementedError
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    # -- serialization and batch kernels ------------------------------------
+    # -- serialization and array arithmetic ---------------------------------
 
     @property
     def symbol_width(self) -> int:
@@ -199,6 +172,18 @@ class FieldSpec:
             raise ParameterError(f"symbols must be integers in [0, {self.q - 1}]")
         return arr.astype(self.np_dtype)
 
+    def np_exp(self, e):
+        """xi**e for integers (arrays) e of any sign: exp[e mod (q - 1)]."""
+        return self.exp[np.mod(e, self.q - 1)]
+
+    def np_inv(self, a):
+        """Elementwise inverse, exp[-log a]; ``ZeroDivisionError`` if any
+        entry is zero."""
+        a = np.asarray(a)
+        if not a.all():
+            raise ZeroDivisionError("inverse of zero")
+        return self.exp[-self.log[a]]
+
     def np_add(self, a, b):
         raise NotImplementedError
 
@@ -213,65 +198,26 @@ class FieldSpec:
 
 
 class Gf256Field(FieldSpec):
-    """GF(2^8) under ``GF256_MODULUS`` with log/exp table arithmetic."""
+    """GF(2^8) under ``GF256_MODULUS``, multiplying through a product table."""
 
     kind = "gf256"
     modulus = GF256_MODULUS
     q = 256
 
     def __init__(self, u: int):
-        # Locate the smallest primitive element with raw carry-less
-        # multiplication, then base the log/exp tables on it.
-        base = find_primitive(SimpleNamespace(q=256, mul=_gf2_mul))
-        exp = [0] * 510
-        log = [0] * 256
-        x = 1
-        for i in range(255):
-            exp[i] = x
-            log[x] = i
-            x = _gf2_mul(x, base)
-        exp[255:510] = exp[0:255]
-        self._exp = exp
-        self._log = log
-        self._np_exp = np.array(exp, dtype=np.uint8)
-        self._np_log = np.array(log, dtype=np.int64)
-        # 256x256 product table: row/column 0 are zero, so batched products
-        # need no special-casing.
-        idx = (self._np_log[:, None] + self._np_log[None, :]) % 255
-        table = self._np_exp[idx]
-        table[0, :] = 0
-        table[:, 0] = 0
-        self._mul_table = table
-        # one field object serves every caller in the process
-        for arr in (self._np_exp, self._np_log, table):
-            arr.setflags(write=False)
+        # 256x256 product table by one carry-less multiply of every pair:
+        # a * b is the XOR of a * x**i over the set bits i of b, and a * x**i
+        # doubles a i times under the modulus.  Row and column 0 are zero,
+        # so batched products need no special-casing.
+        b = np.arange(256, dtype=np.uint16)
+        shifted = b.copy()  # a * x**i for every a
+        table = np.zeros((256, 256), dtype=np.uint16)
+        for i in range(8):
+            table ^= shifted[:, None] * ((b >> i) & 1)
+            shifted = (shifted << 1) ^ (shifted >> 7) * GF256_MODULUS
+        self._mul_table = table.astype(np.uint8)
+        self._mul_table.setflags(write=False)
         super().__init__(u)
-
-    def add(self, a, b):
-        return a ^ b
-
-    def sub(self, a, b):
-        return a ^ b
-
-    def neg(self, a):
-        return a
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._exp[255 - self._log[a]]
-
-    def pow(self, a, e):
-        if e < 0:
-            raise ParameterError("negative exponent; invert explicitly")
-        if a == 0:
-            return 1 if e == 0 else 0
-        return self._exp[(self._log[a] * e) % 255]
 
     def np_add(self, a, b):
         return np.bitwise_xor(np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8))
@@ -355,7 +301,7 @@ class Gf256Field(FieldSpec):
 
 
 class PrimeField(FieldSpec):
-    """GF(p) for a prime p, with native modular arithmetic."""
+    """GF(p) for a prime p, in integer arithmetic reduced mod p."""
 
     kind = "prime"
 
@@ -368,39 +314,23 @@ class PrimeField(FieldSpec):
         self.q = p
         super().__init__(u)
 
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
-
-    def neg(self, a):
-        return (-a) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
-
-    def inv(self, a):
-        if a % self.q == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.q)
-
-    def pow(self, a, e):
-        if e < 0:
-            raise ParameterError("negative exponent; invert explicitly")
-        return pow(a, e, self.q)
-
     def np_add(self, a, b):
-        out = (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.q
-        return out.astype(self.np_dtype)
+        # a + b < 2p: one conditional subtract, the smaller of the sum and
+        # the sum less p, which wraps past it in uint32 when below p
+        s = np.asarray(a, dtype=np.uint32) + np.asarray(b, dtype=np.uint32)
+        return np.minimum(s, np.subtract(s, self.q)).astype(self.np_dtype)
 
     def np_neg(self, a):
-        out = (self.q - np.asarray(a, dtype=np.int64)) % self.q
-        return out.astype(self.np_dtype)
+        # p - a lies in [1, p], and p - a - p wraps past it unless a = 0
+        s = np.subtract(self.q, np.asarray(a, dtype=self.np_dtype))
+        return np.minimum(s, np.subtract(s, self.q))
 
     def np_mul(self, a, b):
-        out = (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.q
-        return out.astype(self.np_dtype)
+        # (p - 1)**2 < 2**32 for p < 2**16; reduced as x - (x // p) * p, which
+        # numpy divides by a scalar through a multiply and shift
+        x = np.asarray(a, dtype=np.uint32) * np.asarray(b, dtype=np.uint32)
+        x -= x // self.q * self.q
+        return x.astype(self.np_dtype)
 
     def np_matmul(self, a, b):
         # BLAS sums symbol products exactly while every partial sum is an
@@ -494,21 +424,28 @@ def _cached_field(kind: str, modulus: int, u: int) -> FieldSpec:
     return PrimeField(modulus, u)
 
 
-def eval_points(field: FieldSpec, nbar: int) -> list[int]:
-    """The n = nbar * u evaluation points lam[e*u+g] = xi**e * eta**g.
+def eval_points(field: FieldSpec, nbar: int) -> np.ndarray:
+    """The n = nbar * u evaluation points lam[e*u+g] = xi**e * eta**g, one
+    gather of xi**(e + g*(q-1)/u), read-only.
 
-    All points are nonzero and pairwise distinct; a duplicate means the
+    All points are nonzero.  They are pairwise distinct exactly when those
+    exponents are, that is when nbar <= (q - 1)/u; a duplicate means the
     field is too small for the cluster and is reported as such.
     """
     u = field.u
-    lam = []
-    for e in range(nbar):
-        xe = field.pow(field.xi, e)
-        for g in range(u):
-            lam.append(field.mul(xe, field.pow(field.eta, g)))
-    if 0 in lam or len(set(lam)) != len(lam):
+    stride = (field.q - 1) // u
+    if nbar > stride:
         raise ParameterError(
             f"evaluation points collide for nbar={nbar}, u={u} over q={field.q}"
         )
+    lam = field.np_exp(np.arange(nbar)[:, None] + stride * np.arange(u)).ravel()
+    lam.setflags(write=False)
     return lam
 
+
+def rack_points(field: FieldSpec, nbar: int) -> np.ndarray:
+    """The nbar rack points x_e = xi**(e*u), each the u-th power of every
+    evaluation point of rack e, read-only."""
+    x = field.np_exp(field.u * np.arange(nbar))
+    x.setflags(write=False)
+    return x

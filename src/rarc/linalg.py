@@ -2,16 +2,15 @@
 
 Codes derive the fixed linear maps that need a solve with the two
 routines here: one vectorized row reduction at build time and the
-Vandermonde inverse.  All arithmetic is exact; results substitute back
-into their systems with equality, never within a tolerance.  The maps
-are ndarrays and are applied with ``FieldSpec.np_matmul``; the
-per-symbol matrix routes and Lagrange weights they replaced live on only
-as the tests' oracle.
+Vandermonde inverse.  Products of point differences come from
+``difference_logs`` as sums of logs.  All arithmetic is exact; results
+substitute back into their systems with equality, never within a
+tolerance.  The maps are ndarrays and are applied with
+``FieldSpec.np_matmul``; the per-symbol matrix routes and Lagrange
+weights they replaced live on only as the tests' oracle.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +38,7 @@ def row_reduce(F, A) -> tuple[np.ndarray, list[int]]:
             continue
         sel = r + int(nonzero[0])
         R[[r, sel]] = R[[sel, r]]
-        R[r] = F.np_mul(R[r], F.inv(int(R[r, col])))
+        R[r] = F.np_mul(R[r], F.np_inv(R[r, col]))
         factors = R[:, col].copy()
         factors[r] = 0
         R = F.np_add(R, F.np_neg(F.np_mul(factors[:, None], R[r][None, :])))
@@ -47,7 +46,7 @@ def row_reduce(F, A) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
-def vandermonde_inverse(F, points: Sequence[int]) -> np.ndarray:
+def vandermonde_inverse(F, points) -> np.ndarray:
     """Inverse of the m x m Vandermonde matrix V[i][j] = points[i]**j.
 
     Column i holds the coefficients of the i-th Lagrange basis polynomial
@@ -58,10 +57,10 @@ def vandermonde_inverse(F, points: Sequence[int]) -> np.ndarray:
     O(m) elementwise array steps over all points, exact, and returned as
     an array of ``F.np_dtype``.
     """
-    if len(set(points)) != len(points):
+    x = np.asarray(points, dtype=F.np_dtype)
+    m = x.size
+    if len(set(x.tolist())) != m:
         raise SingularSystemError("duplicate interpolation points")
-    m = len(points)
-    x = np.array(points, dtype=F.np_dtype)
     neg = F.np_neg(x)
     root = np.zeros(m + 1, dtype=F.np_dtype)  # lowest degree first
     root[0] = 1
@@ -75,21 +74,13 @@ def vandermonde_inverse(F, points: Sequence[int]) -> np.ndarray:
         num[m - 1] = root[m]
     for j in range(m - 1, 0, -1):
         num[j - 1] = F.np_add(F.np_mul(num[j], x), root[j])
-    # prod_{j != i} (x_i - x_j)
+    # 1 / prod_{j != i} (x_i - x_j), through the sum of the factors' logs
     diff = F.np_add(x[:, None], neg[None, :])
     np.fill_diagonal(diff, 1)
-    scale = np.array([F.inv(d) for d in row_products(F, diff).tolist()], dtype=F.np_dtype)
-    return F.np_mul(num, scale[None, :])
+    return F.np_mul(num, F.np_exp(-F.log[diff].sum(axis=1))[None, :])
 
 
-def row_products(F, table: np.ndarray) -> np.ndarray:
-    """The product of each row of the 2-D array ``table`` (1 for a row of
-    no entries), multiplying its columns together pairwise: O(log width)
-    elementwise array steps."""
-    if table.shape[1] == 0:
-        return np.ones(table.shape[0], dtype=F.np_dtype)
-    while table.shape[1] > 1:
-        half = table.shape[1] // 2
-        paired = F.np_mul(table[:, :half], table[:, half : 2 * half])
-        table = np.concatenate([paired, table[:, 2 * half :]], axis=1)
-    return table[:, 0]
+def difference_logs(F, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log prod_j (a[i] - b[j]) for each i, as the sum of the factors'
+    logs.  No point of ``b`` may be in ``a``: a zero factor has no log."""
+    return F.log[F.np_add(a[:, None], F.np_neg(b)[None, :])].sum(axis=1)

@@ -46,8 +46,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError, VerificationError
-from .field import _BUILD_BUDGET, FieldSpec, eval_points
-from .linalg import row_products, vandermonde_inverse
+from .field import _BUILD_BUDGET, FieldSpec, eval_points, rack_points
+from .linalg import difference_logs, vandermonde_inverse
 from .params import SystemParams, check_helper_racks, check_node_set
 
 #: Message layouts kept per process, one per SystemParams.
@@ -140,11 +140,6 @@ def cell_layout(p: SystemParams) -> CellLayout:
     return CellLayout(*arrays)
 
 
-def _differences(F, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a) x len(b)): entry (i, j) is a[i] - b[j]."""
-    return F.np_add(a[:, None], F.np_neg(b)[None, :])
-
-
 class MbrrCode:
     """A built array-code instance; immutable after ``build``."""
 
@@ -153,23 +148,18 @@ class MbrrCode:
     def __init__(self, params, field, lam):
         self.params = params
         self.field = field
-        self.lam = lam
-        self.rack_points = [field.pow(field.xi, e * params.u) for e in range(params.nbar)]
+        self.lam = lam  # read-only evaluation points
+        self.rack_points = rack_points(field, params.nbar)
+        rack_logs = params.u * np.arange(params.nbar)[:, None]  # log x_e
         # (nbar x dbar): row e is the Vandermonde row x_e**i of rack e
-        self.rack_powers = np.array(
-            [[field.pow(x, i) for i in range(params.dbar)] for x in self.rack_points],
-            dtype=field.np_dtype,
-        )
+        self.rack_powers = field.np_exp(rack_logs * np.arange(params.dbar))
         # (nbar x u): row e reads the leading coefficient off rack e's u points,
         # w_{e,g} = 1 / prod_{g' != g} (lam_g - lam_g') = lam_{e,g} / (u * x_e),
         # since those points are the roots of X**u - x_e.  u * 1 is u itself in
         # GF(p) and 1 in GF(256), where u divides 255 and so is odd.
         unit = 1 if field.kind == "gf256" else params.u
-        scale = [field.inv(field.mul(unit, x)) for x in self.rack_points]
-        self.leading_weights = field.np_mul(
-            np.array(lam, dtype=field.np_dtype).reshape(params.nbar, params.u),
-            np.array(scale, dtype=field.np_dtype)[:, None],
-        )
+        lam_logs = field.log[lam].reshape(params.nbar, params.u)
+        self.leading_weights = field.np_exp(lam_logs - rack_logs - field.log[unit])
         for arr in (self.rack_powers, self.leading_weights):
             arr.setflags(write=False)
         # the inverse on the helper racks' points depends on the helper racks
@@ -209,11 +199,7 @@ class MbrrCode:
     def powers(self) -> np.ndarray:
         """(n x k) Lambda transposed, read-only: row c holds lam[c]**j."""
         F = self.field
-        lam = np.array(self.lam, dtype=F.np_dtype)
-        out = np.empty((self.params.n, self.params.k), dtype=F.np_dtype)
-        out[:, 0] = 1
-        for j in range(1, self.params.k):
-            out[:, j] = F.np_mul(out[:, j - 1], lam)
+        out = F.np_exp(np.outer(F.log[self.lam], np.arange(self.params.k)))
         out.setflags(write=False)
         return out
 
@@ -263,24 +249,20 @@ class MbrrCode:
         ``leading_weights[e, g]`` over D_e = prod_{e' != e} (x_e - x_e').
         The rack points x_e = z**e, z = xi**u, are a geometric sequence:
         D_e = z**(e(e-1)/2 + e(nbar-1-e)) * prod_{j=1..e} (z**j - 1) *
-        prod_{j=1..nbar-1-e} (1 - z**j), two running products, so the maps
-        cost O(n + k**2) for any shape the build budget admits.
+        prod_{j=1..nbar-1-e} (1 - z**j), two running products, taken as
+        running sums of logs, so the maps cost O(n + k**2) for any shape the
+        build budget admits.
         """
         p = self.params
         F = self.field
-        rise, fall = [1], [1]
-        for x in self.rack_points[1:]:
-            rise.append(F.mul(rise[-1], F.sub(x, 1)))
-            fall.append(F.mul(fall[-1], F.sub(1, x)))
-        z, top = F.pow(F.xi, p.u), p.nbar - 1
-        rack = [
-            F.inv(F.mul(F.pow(z, e * (e - 1) // 2 + e * (top - e)), F.mul(rise[e], fall[top - e])))
-            for e in range(p.nbar)
-        ]
-        weights = F.np_mul(self.leading_weights, np.array(rack, F.np_dtype)[:, None]).ravel()
+        x, e, top = self.rack_points[1:], np.arange(p.nbar), p.nbar - 1
+        rise = np.concatenate([[0], np.cumsum(F.log[F.np_add(x, F.np_neg(1))])])
+        fall = np.concatenate([[0], np.cumsum(F.log[F.np_add(1, F.np_neg(x))])])
+        logs = p.u * (e * (e - 1) // 2 + e * (top - e)) + rise + fall[::-1]
+        weights = F.np_mul(self.leading_weights, F.np_exp(-logs)[:, None]).ravel()
         base = vandermonde_inverse(F, self.lam[: p.k])
         # its last row holds the top coefficients of the Lagrange polynomials
-        gaps = np.array([F.inv(x) for x in base[-1].tolist()], dtype=F.np_dtype)
+        gaps = F.np_inv(base[-1])
         for arr in (weights, gaps, base):
             arr.setflags(write=False)
         return weights, gaps, base
@@ -339,7 +321,7 @@ class MbrrCode:
         return rows.reshape(len(helper_racks), p.u * p.dbar)
 
     def _derive_helper_inverse(self, helper_racks: tuple[int, ...]) -> np.ndarray:
-        vinv = vandermonde_inverse(self.field, [self.rack_points[h] for h in helper_racks])
+        vinv = vandermonde_inverse(self.field, self.rack_points[list(helper_racks)])
         vinv.setflags(write=False)
         return vinv
 
@@ -367,7 +349,7 @@ class MbrrCode:
         p.node_index(e_star, g_star)  # bounds check
         helper_racks = check_helper_racks(e_star, helper_racks, p.nbar, d)
         w = self.leading_weights[e_star]
-        scale = F.inv(int(w[g_star]))
+        scale = F.exp[-F.log[w[g_star]]]  # 1 / w_{g*}
         # row i reads -w_s / w_{g*} at local column s*dbar + i: that vector
         # Kronecker I, exact in integers because I holds only 0 and 1
         weights = F.np_mul(F.np_neg(np.delete(w, g_star)), scale)[:, None]
@@ -445,13 +427,13 @@ class MbrrCode:
         if not m:
             return F.np_matmul(base, given)
         erased[: p.k] = False  # now the nodes outside S
-        lam = np.array(self.lam, dtype=F.np_dtype)
+        lam = self.lam
         w = weights[known]
         if erased.any():
-            w = F.np_mul(w, row_products(F, _differences(F, lam[known], lam[erased])))
-        table = _differences(F, lam[lost], lam[known[p.k - m :]])
-        scale = F.np_neg(F.np_mul(gaps[lost], row_products(F, table)))  # -1 / w_E
-        vinv = vandermonde_inverse(F, lam[lost].tolist())
+            w = F.np_mul(w, F.np_exp(difference_logs(F, lam[known], lam[erased])))
+        logs = difference_logs(F, lam[lost], lam[known[p.k - m :]])
+        scale = F.np_neg(F.np_mul(gaps[lost], F.np_exp(logs)))  # -1 / w_E
+        vinv = vandermonde_inverse(F, lam[lost])
         lead = F.np_mul(scale[:, None], vinv.T)
         checks = F.np_mul(self.powers[known, :m].T, w[None, :])
         direct, spread = base[:, known[: p.k - m]], base[:, lost]

@@ -25,14 +25,13 @@ from one Vandermonde inverse; a single stripe is a one-column block.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParameterError, SingularSystemError, VerificationError
-from .field import _BUILD_BUDGET, FieldSpec, eval_points
-from .linalg import row_reduce, vandermonde_inverse
+from .field import _BUILD_BUDGET, FieldSpec, eval_points, rack_points
+from .linalg import difference_logs, row_reduce, vandermonde_inverse
 from .params import SystemParams, check_helper_racks, check_node_set
 
 def check_exponents(p: SystemParams) -> list[int]:
@@ -54,12 +53,12 @@ class MsrrCode:
         self.params = params
         self.field = field
         self.T = T
-        self.lam = lam
+        self.lam = lam  # read-only evaluation points
         self.checks = checks  # (|T| x n) parity-check matrix H, read-only
         self.info_set = info_set  # read-only intp positions of the message
         self.parity_set = parity_set  # read-only intp positions of the checks
         self.parity_rows = parity_rows  # (|T| x B) c_P = parity_rows @ m, read-only
-        self.rack_points = [field.pow(field.xi, e * params.u) for e in range(params.nbar)]
+        self.rack_points = rack_points(field, params.nbar)
 
     @classmethod
     def build(cls, params: SystemParams, field: FieldSpec) -> "MsrrCode":
@@ -79,7 +78,7 @@ class MsrrCode:
             )
         T = check_exponents(params)
         lam = eval_points(field, params.nbar)
-        checks = np.array([[field.pow(x, t) for x in lam] for t in T], dtype=field.np_dtype)
+        checks = field.np_exp(np.outer(T, field.log[lam]))
         # The parity set is the column basis a left-to-right information-set
         # greedy leaves behind, the one preferring the rightmost columns: the
         # pivots of H reversed.  The reduction is H_P^-1 H with H_P on them, in
@@ -138,10 +137,11 @@ class MsrrCode:
             raise ParameterError("one symbol row per node required")
         full = np.zeros((p.n, symbols.shape[1]), dtype=F.np_dtype)
         full[nodes] = symbols
-        given = set(nodes)
-        erased = [c for c in range(p.n) if c not in given]
-        if erased:
-            vinv = vandermonde_inverse(F, [self.lam[c] for c in erased])
+        given = np.zeros(p.n, dtype=bool)
+        given[nodes] = True
+        erased = np.flatnonzero(~given)
+        if erased.size:
+            vinv = vandermonde_inverse(F, self.lam[erased])
             syndrome = F.np_matmul(self.checks[: len(erased), nodes], symbols)
             full[erased] = F.np_neg(F.np_matmul(vinv.T, syndrome))
         if F.np_matmul(self.checks[len(erased) :], full).any():
@@ -180,15 +180,12 @@ class MsrrCode:
         e_star = failed[0]
         p.node_index(*failed)  # bounds check
         helper_racks = check_helper_racks(e_star, helper_racks, p.nbar, p.dbar)
+        racks = [e_star, *helper_racks]
         x = self.rack_points
-        skip = {e_star, *helper_racks}
-        outside = [x[e] for e in range(p.nbar) if e not in skip]
-
-        def check_poly(t):
-            return functools.reduce(F.mul, [F.sub(t, xe) for xe in outside], 1)
-
-        scale = F.neg(F.inv(check_poly(x[e_star])))
-        gammas = [F.mul(scale, check_poly(x[h])) for h in helper_racks]
-        helper = np.ones((p.dbar, p.u), dtype=F.np_dtype)
-        rebuild = np.array([[F.neg(1)] * (p.u - 1) + gammas], dtype=F.np_dtype)
-        return helper, rebuild
+        outside = np.ones(p.nbar, dtype=bool)
+        outside[racks] = False
+        # gamma_h = -xi**(log P(x_h) - log P(x_e*))
+        logs = difference_logs(F, x[racks], x[outside])
+        rebuild = np.ones((1, p.u - 1 + p.dbar), dtype=F.np_dtype)
+        rebuild[0, p.u - 1 :] = F.np_exp(logs[1:] - logs[0])
+        return np.ones((p.dbar, p.u), dtype=F.np_dtype), F.np_neg(rebuild)

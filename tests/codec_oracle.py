@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from field_oracle import oracle
 from rarc.errors import ParameterError, SingularSystemError, VerificationError
 from rarc.mbrr import cell_layout, j1_columns, message_size
 
@@ -45,9 +46,10 @@ MAX_ENUMERATION = 1 << 20
 
 def poly_eval(F, coeffs: Sequence[int], x: int) -> int:
     """Evaluate a lowest-degree-first coefficient list at x (Horner)."""
+    O = oracle(F)
     acc = 0
     for c in reversed(coeffs):
-        acc = F.add(F.mul(acc, x), c)
+        acc = O.add(O.mul(acc, x), c)
     return acc
 
 
@@ -160,11 +162,12 @@ class Matrix:
 
 
 def dot(F, a, b):
+    O = oracle(F)
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
     acc = 0
     for x, y in zip(a, b):
-        acc = F.add(acc, F.mul(x, y))
+        acc = O.add(acc, O.mul(x, y))
     return acc
 
 
@@ -175,6 +178,7 @@ def mat_vec(F, A, x):
 
 
 def mat_mul(F, A, B):
+    O = oracle(F)
     if A.cols != B.rows:
         raise ValueError("dimension mismatch")
     out = Matrix(A.rows, B.cols)
@@ -183,7 +187,7 @@ def mat_mul(F, A, B):
         for j in range(B.cols):
             acc = 0
             for t in range(A.cols):
-                acc = F.add(acc, F.mul(arow[t], B.entries[t * B.cols + j]))
+                acc = O.add(acc, O.mul(arow[t], B.entries[t * B.cols + j]))
             out.entries[i * B.cols + j] = acc
     return out
 
@@ -193,6 +197,7 @@ def mat_mul(F, A, B):
 
 def _eliminate(F, aug, cols):
     """Forward elimination with first-nonzero pivoting; returns pivot count."""
+    O = oracle(F)
     m = len(aug)
     piv = 0
     for col in range(cols):
@@ -204,12 +209,12 @@ def _eliminate(F, aug, cols):
         if sel < 0:
             continue
         aug[piv], aug[sel] = aug[sel], aug[piv]
-        inv = F.inv(aug[piv][col])
-        aug[piv] = [F.mul(v, inv) for v in aug[piv]]
+        inv = O.inv(aug[piv][col])
+        aug[piv] = [O.mul(v, inv) for v in aug[piv]]
         for r in range(m):
             if r != piv and aug[r][col] != 0:
                 f = aug[r][col]
-                aug[r] = [F.sub(av, F.mul(f, pv)) for av, pv in zip(aug[r], aug[piv])]
+                aug[r] = [O.sub(av, O.mul(f, pv)) for av, pv in zip(aug[r], aug[piv])]
         piv += 1
         if piv == m:
             break
@@ -236,6 +241,7 @@ def independent_prefix(F, vectors, limit):
     every later kept vector, so one pass over the kept list reduces a new
     vector completely.
     """
+    O = oracle(F)
     kept = []
     reduced = []  # (lead index, unit-lead vector)
     for idx, v in enumerate(vectors):
@@ -244,12 +250,12 @@ def independent_prefix(F, vectors, limit):
         for lead, vec in reduced:
             if v[lead] != 0:
                 f = v[lead]
-                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, vec)]
+                v = [O.sub(a, O.mul(f, b)) for a, b in zip(v, vec)]
         lead = next((i for i, a in enumerate(v) if a != 0), -1)
         if lead < 0:
             continue
-        inv = F.inv(v[lead])
-        reduced.append((lead, [F.mul(a, inv) for a in v]))
+        inv = O.inv(v[lead])
+        reduced.append((lead, [O.mul(a, inv) for a in v]))
         kept.append(idx)
     return kept
 
@@ -292,56 +298,60 @@ def lagrange_leading_weights(F, points):
     ``sum_g y_g * w_g``, so a holder of the y values can produce it as a
     single linear combination of what it stores.
     """
+    O = oracle(F)
     _check_points(points)
     weights = []
     for i, xi in enumerate(points):
         prod = 1
         for j, xj in enumerate(points):
             if j != i:
-                prod = F.mul(prod, F.sub(xi, xj))
-        weights.append(F.inv(prod))
+                prod = O.mul(prod, O.sub(xi, xj))
+        weights.append(O.inv(prod))
     return weights
 
 
 def _lagrange_numerators(F, points):
     """Yield (num, den) per point: num lists the coefficients of
     prod_{j != i} (X - x_j), lowest degree first, and den = num(x_i)."""
+    O = oracle(F)
     _check_points(points)
     m = len(points)
     root = [1]
     for x in points:
         root = [0] + root
         for j in range(len(root) - 1):
-            root[j] = F.sub(root[j], F.mul(root[j + 1], x))
+            root[j] = O.sub(root[j], O.mul(root[j + 1], x))
     for x in points:
         num = [0] * m
         num[m - 1] = root[m]
         for j in range(m - 1, 0, -1):
-            num[j - 1] = F.add(root[j], F.mul(num[j], x))
+            num[j - 1] = O.add(root[j], O.mul(num[j], x))
         yield num, poly_eval(F, num, x)
 
 
 def vandermonde_solve(F, points, values):
     """Coefficients of the unique degree-< m polynomial through m points."""
+    O = oracle(F)
     if len(points) != len(values):
         raise ValueError("points/values length mismatch")
     m = len(points)
     coeffs = [0] * m
     for (num, den), y in zip(_lagrange_numerators(F, points), values):
-        scale = F.div(y, den)
+        scale = O.div(y, den)
         for j in range(m):
-            coeffs[j] = F.add(coeffs[j], F.mul(num[j], scale))
+            coeffs[j] = O.add(coeffs[j], O.mul(num[j], scale))
     return coeffs
 
 
 def vandermonde_inverse(F, points):
     """The inverse of V[i][j] = points[i]**j as a Matrix, one point at a time."""
+    O = oracle(F)
     m = len(points)
     out = Matrix(m, m)
     for i, (num, den) in enumerate(_lagrange_numerators(F, points)):
-        scale = F.inv(den)
+        scale = O.inv(den)
         for j in range(m):
-            out.entries[j * m + i] = F.mul(num[j], scale)
+            out.entries[j * m + i] = O.mul(num[j], scale)
     return out
 
 
@@ -370,9 +380,10 @@ def msrr_enc(code):
     """The parity positions as a linear map of the message:
     H_P c_P = -H_I m, so c_P = -(H_P^-1 H_I) m."""
     F = code.field
+    O = oracle(F)
     H = check_matrix(code)
     enc = mat_mul(F, invert(F, H.take_columns(code.parity_set)), H.take_columns(code.info_set))
-    return Matrix(enc.rows, enc.cols, [F.neg(v) for v in enc.entries])
+    return Matrix(enc.rows, enc.cols, [O.neg(v) for v in enc.entries])
 
 
 def msrr_encode(code, message):
@@ -391,6 +402,7 @@ def msrr_encode(code, message):
 def msrr_reconstruct(code, available):
     """Solve every check row on the erased columns, then re-check."""
     F = code.field
+    O = oracle(F)
     got = _available(code.params.n, code.params.k, available)
     codeword = [0] * code.params.n
     for idx, sym in got.items():
@@ -403,8 +415,8 @@ def msrr_reconstruct(code, available):
         for r in range(len(code.T)):
             acc = 0
             for idx, sym in got.items():
-                acc = F.add(acc, F.mul(H.at(r, idx), sym))
-            rhs.append(F.neg(acc))
+                acc = O.add(acc, O.mul(H.at(r, idx), sym))
+            rhs.append(O.neg(acc))
             rows.append([H.at(r, c) for c in erased])
         solution = gaussian_solve(F, Matrix.from_rows(rows), rhs)
         for c, sym in zip(erased, solution):
@@ -420,8 +432,9 @@ def msrr_reconstruct(code, available):
 def lambda_matrix(code):
     """k x n: row j holds every point to the power j."""
     F = code.field
+    O = oracle(F)
     return Matrix.from_rows(
-        [[F.pow(code.lam[c], j) for c in range(code.params.n)] for j in range(code.params.k)]
+        [[O.pow(code.lam[c], j) for c in range(code.params.n)] for j in range(code.params.k)]
     )
 
 
@@ -526,11 +539,12 @@ def local_polys(code, e, M) -> np.ndarray:
     """
     p = code.params
     F = code.field
+    O = oracle(F)
     padded = np.zeros((p.dbar, (p.kbar + 1) * p.u), dtype=F.np_dtype)
     padded[:, : p.k] = F.symbol_array(M)
     grouped = padded.reshape(p.dbar, p.kbar + 1, p.u).transpose(0, 2, 1)
     x = code.rack_points[e]
-    powers = F.symbol_array([[F.pow(x, t)] for t in range(p.kbar + 1)])
+    powers = F.symbol_array([[O.pow(x, t)] for t in range(p.kbar + 1)])
     coeffs = F.np_matmul(grouped.reshape(p.dbar * p.u, p.kbar + 1), powers)
     return coeffs.reshape(p.dbar, p.u)
 

@@ -24,17 +24,19 @@ from codec_oracle import (
     poly_eval,
     vandermonde_solve,
 )
+from field_oracle import oracle
 from rarc.errors import ParameterError
 
 
 def lagrange_leading_coefficient(F, points, values):
     """Coefficient of x^(m-1) of the degree-< m interpolating polynomial."""
+    O = oracle(F)
     if len(points) != len(values):
         raise ValueError("points/values length mismatch")
     weights = lagrange_leading_weights(F, points)
     acc = 0
     for y, w in zip(values, weights):
-        acc = F.add(acc, F.mul(y, w))
+        acc = O.add(acc, O.mul(y, w))
     return acc
 
 
@@ -45,6 +47,7 @@ def constrained_interpolate(F, points, values, fixed_leading, degree_bound):
     from the values and interpolate the residual, whose degree is below
     ``degree_bound``.
     """
+    O = oracle(F)
     if len(points) != degree_bound:
         raise ValueError("need exactly degree_bound points")
     if len(points) != len(values):
@@ -52,7 +55,7 @@ def constrained_interpolate(F, points, values, fixed_leading, degree_bound):
     if degree_bound == 0:
         return [fixed_leading]
     residual = [
-        F.sub(y, F.mul(fixed_leading, F.pow(x, degree_bound)))
+        O.sub(y, O.mul(fixed_leading, O.pow(x, degree_bound)))
         for x, y in zip(points, values)
     ]
     coeffs = vandermonde_solve(F, points, residual)
@@ -78,9 +81,10 @@ def _responses(p, failed_rack, helpers):
 
 
 def msrr_helper_response(code, rack, symbols):
+    O = oracle(code.field)
     acc = 0
     for sym in symbols:
-        acc = code.field.add(acc, sym)
+        acc = O.add(acc, sym)
     return acc
 
 
@@ -89,21 +93,22 @@ def msrr_repair(code, failed, local, helpers):
     at dbar = 0 every rack sums to zero."""
     p = code.params
     F = code.field
+    O = oracle(F)
     e_star = failed[0]
     resp = _responses(p, e_star, helpers)
     unknown = [e for e in range(p.nbar) if e not in resp]
     rows = []
     rhs = []
     for i in range(p.nbar - p.dbar):
-        rows.append([F.pow(code.rack_points[e], i) for e in unknown])
+        rows.append([O.pow(code.rack_points[e], i) for e in unknown])
         acc = 0
         for e, s in resp.items():
-            acc = F.add(acc, F.mul(F.pow(code.rack_points[e], i), s))
-        rhs.append(F.neg(acc))
+            acc = O.add(acc, O.mul(O.pow(code.rack_points[e], i), s))
+        rhs.append(O.neg(acc))
     sums = gaussian_solve(F, Matrix.from_rows(rows), rhs)
     rack_sum = sums[unknown.index(e_star)]
     for sym in local:
-        rack_sum = F.sub(rack_sum, sym)
+        rack_sum = O.sub(rack_sum, sym)
     return rack_sum
 
 
@@ -115,12 +120,13 @@ def mbrr_helper_response(code, helper, failed_rack, columns):
     with the failed rack's Vandermonde row."""
     p = code.params
     F = code.field
+    O = oracle(F)
     points = [code.lam[p.node_index(helper, g)] for g in range(p.u)]
     x = code.rack_points[failed_rack]
     acc = 0
     for i in range(p.dbar):
         lead = lagrange_leading_coefficient(F, points, [col[i] for col in columns])
-        acc = F.add(acc, F.mul(F.pow(x, i), lead))
+        acc = O.add(acc, O.mul(O.pow(x, i), lead))
     return acc
 
 

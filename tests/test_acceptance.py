@@ -18,6 +18,7 @@ from codec_oracle import (
     pack_message,
     poly_eval,
 )
+from field_oracle import oracle
 from flow_oracle import min_cut_over_schedules
 from repair_oracle import msrr_helper_response
 
@@ -238,6 +239,7 @@ def test_criterion_structural_identities(capsys):
         if (n, u) not in fields:
             fields[(n, u)] = make_field(n, u, "prime")
         field = fields[(n, u)]
+        O = oracle(field)
         if (n, u, k, dbar) not in codes:
             codes[(n, u, k, dbar)] = (
                 MsrrCode.build(p, field),
@@ -253,7 +255,7 @@ def test_criterion_structural_identities(capsys):
         for i in range(p.nbar - p.dbar):
             acc = 0
             for e in range(p.nbar):
-                acc = field.add(acc, field.mul(field.pow(scalar.rack_points[e], i), sums[e]))
+                acc = O.add(acc, O.mul(O.pow(scalar.rack_points[e], i), sums[e]))
             if acc != 0:
                 violations += 1
         # array code: local family agreement and leading-vector transport

@@ -23,6 +23,7 @@ from rarc.params import MBRR, MSRR, SystemParams
 from rarc.sim import Cluster, RepairPolicy
 
 import repair_oracle as oracle
+from field_oracle import oracle as field_oracle
 from codec_oracle import (
     generator,
     lagrange_leading_weights,
@@ -86,7 +87,7 @@ def test_msrr_batch_reconstruct_detects_corruption():
     code = msrr_code()
     data = random_block(code, 4)
     body = code.encode_stripes(data).copy()
-    body[0, 2] = code.field.add(int(body[0, 2]), 1)
+    body[0, 2] = field_oracle(code.field).add(body[0, 2], 1)
     with pytest.raises(VerificationError):
         code.reconstruct_stripes(list(range(6)), body)
 
@@ -378,7 +379,7 @@ def test_mbrr_batch_reconstruct_checks_extras_and_structure():
     body = code.encode_stripes(data).copy()
     got = code.reconstruct_stripes(list(range(p.n)), body)
     assert np.array_equal(got, data)
-    body[-1, 1] = code.field.add(int(body[-1, 1]), 2)
+    body[-1, 1] = field_oracle(code.field).add(body[-1, 1], 2)
     with pytest.raises(VerificationError):
         code.reconstruct_stripes(list(range(p.n)), body)
 

@@ -14,22 +14,14 @@ from rarc.field import (
     GF256_MODULUS,
     Gf256Field,
     PrimeField,
-    derive_eta,
     eval_points,
     field_from_descriptor,
-    find_primitive,
     make_field,
-    multiplicative_order,
+    rack_points,
     smallest_prime_field,
 )
 
-
-def brute_force_order(field, a):
-    x, m = a, 1
-    while x != 1:
-        x = field.mul(x, a)
-        m += 1
-    return m
+from field_oracle import clmul, oracle, order, smallest_primitive
 
 
 def scan_smallest_prime(n, u):
@@ -107,26 +99,16 @@ def test_find_primitive_small_primes():
 
 def test_find_primitive_is_smallest_by_brute_force():
     for f in (make_field(12, 3, "prime"), make_field(6, 2, "prime")):
-        orders = {a: brute_force_order(f, a) for a in range(1, f.q)}
+        orders = {a: order(oracle(f), a) for a in range(1, f.q)}
         smallest = min(a for a, o in orders.items() if o == f.q - 1)
         assert f.xi == smallest
-
-
-def test_find_primitive_degenerate_two_element_field():
-    class TinyF2:
-        q = 2
-
-        def mul(self, a, b):
-            return a & b
-
-    assert find_primitive(TinyF2()) == 1
 
 
 def test_gf256_canonical_generator_is_verified_primitive():
     f = Gf256Field(5)
     assert f.modulus == GF256_MODULUS
     assert f.xi == 2
-    assert brute_force_order(f, f.xi) == 255
+    assert order(oracle(f), f.xi) == 255
 
 
 def test_derive_eta_examples():
@@ -134,21 +116,62 @@ def test_derive_eta_examples():
     assert f.eta == 6  # 3^3 mod 7
     f3 = make_field(6, 3, "prime")
     assert f3.eta == 2  # 3^2 mod 7
-    assert derive_eta(f, 1) == 1
+    assert f.np_exp(f.q - 1) == 1  # xi**((q-1)/u) at u = 1
 
 
 def test_eta_order_checked_over_divisors():
     for f in (make_field(6, 2, "prime"), make_field(50, 5, "gf256"), make_field(12, 3, "prime")):
-        assert multiplicative_order(f, f.eta) == f.u
+        O = oracle(f)
+        assert order(O, f.eta) == f.u
         for m in range(1, f.u):
-            assert f.pow(f.eta, m) != 1
-        assert f.pow(f.eta, f.u) == 1
+            assert O.pow(f.eta, m) != 1
+        assert O.pow(f.eta, f.u) == 1
 
 
 def test_derive_eta_requires_divisibility():
-    f = make_field(6, 2, "prime")
-    with pytest.raises(ParameterError):
-        derive_eta(f, 4)  # 4 does not divide 6
+    with pytest.raises(ParameterError, match="u=4 does not divide q-1=6"):
+        PrimeField(7, 4)
+    with pytest.raises(ParameterError, match="u=2 does not divide q-1=255"):
+        Gf256Field(2)
+
+
+# one field of each kind with every table checked entry by entry: p = 55441
+# has the largest least primitive root below 2**16, 38, and 65521 is the
+# largest prime the uint16 symbols hold
+TABLE_FIELDS = [Gf256Field(5)] + [PrimeField(p, 2) for p in (7, 13, 137, 55441, 65521)]
+
+
+@pytest.mark.parametrize("f", TABLE_FIELDS, ids=lambda f: str(f.q))
+def test_field_tables_exhaustive(f):
+    O = oracle(f)
+    order_ = f.q - 1
+    nonzero = np.arange(1, f.q)
+    # log inverts exp, whose period is exactly q - 1: its q - 1 entries are
+    # the nonzero elements, each once, and each is xi times the one before
+    assert f.log[f.exp].tolist() == list(range(order_))
+    assert sorted(f.exp.tolist()) == nonzero.tolist()
+    assert f.exp.tolist() == [O.pow(f.xi, i) for i in range(order_)]
+    assert f.np_exp(np.arange(-order_, 2 * order_)).tolist() == f.exp.tolist() * 3
+    assert f.xi == smallest_primitive(O)
+    assert f.eta == O.pow(f.xi, order_ // f.u)
+    assert not f.exp.flags.writeable and not f.log.flags.writeable
+    inverses = f.np_inv(nonzero)
+    assert [O.mul(a, b) for a, b in zip(nonzero.tolist(), inverses.tolist())] == [1] * order_
+    for zero in (0, np.array([3, 0, 1])):
+        with pytest.raises(ZeroDivisionError):
+            f.np_inv(zero)
+    if f.q <= 256:
+        a, b = np.divmod(np.arange(f.q * f.q), f.q)  # every pair
+    else:
+        edges = [0, 1, 2, f.q - 2, f.q - 1]
+        a, b = np.random.default_rng(f.q).integers(0, f.q, (2, 4096))
+        a, b = np.concatenate([a, np.repeat(edges, 5)]), np.concatenate([b, np.tile(edges, 5)])
+    a, b = a.astype(f.np_dtype), b.astype(f.np_dtype)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert f.np_add(a, b).tolist() == [O.add(x, y) for x, y in pairs]
+    assert f.np_mul(a, b).tolist() == [O.mul(x, y) for x, y in pairs]
+    assert f.np_neg(a).tolist() == [O.neg(x) for x, _ in pairs]
+    assert f.np_mul(inverses, nonzero).tolist() == [1] * order_
 
 
 # ---------------------------------------------------------------------------
@@ -161,25 +184,34 @@ def test_eval_points_hand_values():
     lam = eval_points(f, 3)
     assert lam[0] == 1  # xi^0 * eta^0
     assert lam[3] == 4  # xi^1 * eta^1 = 18 mod 7
-    assert lam == [1, 6, 3, 4, 2, 5]
+    assert lam.tolist() == [1, 6, 3, 4, 2, 5]
+    assert not lam.flags.writeable
+    assert rack_points(f, 3).tolist() == [1, 2, 4]  # xi^(e*u) = 9**e mod 7
 
 
 def test_eval_points_distinct_and_nonzero():
     for f, nbar in [(make_field(6, 2, "prime"), 3), (make_field(50, 5, "gf256"), 10)]:
-        lam = eval_points(f, nbar)
+        lam = eval_points(f, nbar).tolist()
         assert len(lam) == nbar * f.u
         assert 0 not in lam
         assert len(set(lam)) == len(lam)
+    # one rack more than (q - 1)/u repeats a point
+    for f, nbar in [(make_field(6, 2, "prime"), 4), (make_field(50, 5, "gf256"), 52)]:
+        eval_points(f, nbar - 1)
+        with pytest.raises(ParameterError, match="evaluation points collide"):
+            eval_points(f, nbar)
 
 
 def test_rack_power_identity():
     # lam^u depends only on the rack index
     for f, nbar in [(make_field(6, 3, "prime"), 2), (make_field(20, 5, "gf256"), 4)]:
+        O = oracle(f)
         lam = eval_points(f, nbar)
         for e in range(nbar):
-            expected = f.pow(f.xi, e * f.u)
+            expected = O.pow(f.xi, e * f.u)
+            assert rack_points(f, nbar)[e] == expected
             for g in range(f.u):
-                assert f.pow(lam[e * f.u + g], f.u) == expected
+                assert O.pow(lam[e * f.u + g], f.u) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -187,54 +219,43 @@ def test_rack_power_identity():
 # ---------------------------------------------------------------------------
 
 
-def exhaustive_elements(field):
-    return range(field.q)
-
-
 def test_prime_field_axioms_exhaustive():
-    f = make_field(6, 2, "prime")  # p = 7: small enough for triple loops
-    for a in exhaustive_elements(f):
-        assert f.add(a, 0) == a
-        assert f.mul(a, 1) == a
-        assert f.add(a, f.neg(a)) == 0
-        if a:
-            assert f.mul(a, f.inv(a)) == 1
-        for b in exhaustive_elements(f):
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-            assert f.sub(a, b) == f.add(a, f.neg(b))
-            for c in exhaustive_elements(f):
-                assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    f = make_field(6, 2, "prime")  # p = 7: small enough for every triple
+    a, b, c = (x.ravel().astype(f.np_dtype) for x in np.indices((f.q,) * 3))
+    add, mul, neg = f.np_add, f.np_mul, f.np_neg
+    assert (add(a, 0) == a).all() and (mul(a, 1) == a).all()
+    assert not add(a, neg(a)).any()
+    assert (add(a, b) == add(b, a)).all() and (mul(a, b) == mul(b, a)).all()
+    assert (add(add(a, b), c) == add(a, add(b, c))).all()
+    assert (mul(mul(a, b), c) == mul(a, mul(b, c))).all()
+    assert (mul(a, add(b, c)) == add(mul(a, b), mul(a, c))).all()
+    nonzero = np.arange(1, f.q)
+    assert (mul(nonzero, f.np_inv(nonzero)) == 1).all()
 
 
 def test_gf256_axioms_random_and_inverses_exhaustive():
     f = make_field(50, 5, "gf256")
-    rng = random.Random(7)
-    for _ in range(500):
-        a, b, c = (rng.randrange(256) for _ in range(3))
-        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-    for a in range(1, 256):
-        assert f.mul(a, f.inv(a)) == 1
+    a, b, c = np.random.default_rng(7).integers(0, 256, (3, 500)).astype(np.uint8)
+    add, mul = f.np_add, f.np_mul
+    assert (add(add(a, b), c) == add(a, add(b, c))).all()
+    assert (mul(mul(a, b), c) == mul(a, mul(b, c))).all()
+    assert (mul(a, add(b, c)) == add(mul(a, b), mul(a, c))).all()
+    nonzero = np.arange(1, 256)
+    assert (mul(nonzero, f.np_inv(nonzero)) == 1).all()
     with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+        f.np_inv(0)
 
 
 def test_pow_matches_repeated_multiplication():
     for f in (make_field(6, 2, "prime"), make_field(50, 5, "gf256")):
         rng = random.Random(11)
         for _ in range(50):
-            a = rng.randrange(1, f.q)
-            e = rng.randrange(0, 60)
+            e = rng.randrange(-60, 60)
             acc = 1
-            for _ in range(e):
-                acc = f.mul(acc, a)
-            assert f.pow(a, e) == acc
-        assert f.pow(0, 0) == 1
-        assert f.pow(0, 3) == 0
+            for _ in range(e % (f.q - 1)):
+                acc = oracle(f).mul(acc, f.xi)
+            assert f.np_exp(e) == acc
+        assert f.np_exp(np.array([0, f.q - 1, 1 - f.q])).tolist() == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +280,7 @@ def test_field_from_descriptor_round_trip():
 def test_np_kernels_match_scalar_ops():
     rng = random.Random(13)
     for f in (make_field(50, 5, "gf256"), make_field(10, 2, "prime"), make_field(300, 2, "prime")):
+        O = oracle(f)
         m, k, n = 4, 5, 6
         A = [[rng.randrange(f.q) for _ in range(k)] for _ in range(m)]
         B = [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]
@@ -267,13 +289,13 @@ def test_np_kernels_match_scalar_ops():
             for j in range(n):
                 acc = 0
                 for t in range(k):
-                    acc = f.add(acc, f.mul(A[i][t], B[t][j]))
+                    acc = O.add(acc, O.mul(A[i][t], B[t][j]))
                 assert int(got[i, j]) == acc
         a = np.array([rng.randrange(f.q) for _ in range(20)], dtype=f.np_dtype)
         b = np.array([rng.randrange(f.q) for _ in range(20)], dtype=f.np_dtype)
-        assert [int(v) for v in f.np_add(a, b)] == [f.add(x, y) for x, y in zip(a, b)]
-        assert [int(v) for v in f.np_mul(a, b)] == [f.mul(x, y) for x, y in zip(a, b)]
-        assert [int(v) for v in f.np_neg(a)] == [f.neg(int(x)) for x in a]
+        assert [int(v) for v in f.np_add(a, b)] == [O.add(x, y) for x, y in zip(a, b)]
+        assert [int(v) for v in f.np_mul(a, b)] == [O.mul(x, y) for x, y in zip(a, b)]
+        assert [int(v) for v in f.np_neg(a)] == [O.neg(x) for x in a]
 
 
 # GF(256), the two escape-path primes of byte packing, and a two-byte prime
@@ -315,13 +337,14 @@ def matmul_case(draw, fields=KERNEL_FIELDS, widths=WIDTHS):
 @given(matmul_case())
 def test_np_matmul_matches_scalar_triple_loop(case):
     f, a, b = case
+    O = oracle(f)
     m, k = a.shape
     n = b.shape[1]
     expected = [[0] * n for _ in range(m)]
     for i in range(m):
         for j in range(n):
             for t in range(k):
-                expected[i][j] = f.add(expected[i][j], f.mul(int(a[i, t]), int(b[t, j])))
+                expected[i][j] = O.add(expected[i][j], O.mul(int(a[i, t]), int(b[t, j])))
     got = f.np_matmul(a, b)
     assert got.shape == (m, n)
     assert got.dtype == f.np_dtype
@@ -365,7 +388,7 @@ def test_gf256_wide_kernel_every_product(width):
     row = np.arange(width) % 256
     got = f.np_matmul(np.arange(256, dtype=np.uint8)[:, None], row.astype(np.uint8)[None, :])
     assert got.tolist() == f._mul_table[:, row].tolist()
-    assert got.tolist() == [[f.mul(c, int(x)) for x in row] for c in range(256)]
+    assert got.tolist() == [[clmul(c, int(x)) for x in row] for c in range(256)]
 
 
 @pytest.mark.parametrize("layout", ["column slice", "transposed"])
@@ -382,11 +405,12 @@ def test_gf256_wide_kernel_strided_rows_and_bit_entries(layout, top):
     else:
         b = rng.integers(0, 256, (n, k), dtype=np.uint8).T
     assert not b.flags.c_contiguous
+    O = oracle(f)
     expected = [[0] * n for _ in range(m)]
     for i in range(m):
         for j in range(n):
             for t in range(k):
-                expected[i][j] = f.add(expected[i][j], f.mul(int(a[i, t]), int(b[t, j])))
+                expected[i][j] = O.add(expected[i][j], O.mul(int(a[i, t]), int(b[t, j])))
     assert f.np_matmul(a, b).tolist() == expected
 
 

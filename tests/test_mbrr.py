@@ -24,6 +24,7 @@ from codec_oracle import (
     symmetric_block,
     unpack_message,
 )
+from field_oracle import oracle
 
 
 def build(n, u, k, dbar, preference="prime"):
@@ -138,7 +139,7 @@ def test_encode_zero_matrix():
 def test_encode_single_row_hand_instance():
     # dbar=1, k=2: the stored symbol is m0 + m1 * lam at every node
     code = build(4, 2, 2, 1)
-    p, f = code.params, code.field
+    p, f = code.params, oracle(code.field)
     data = [4, 2]
     M = pack_message(p, data)
     # layout: boundary column 1 holds the block, column 0 the remaining symbol
@@ -153,7 +154,7 @@ def test_encode_matches_polynomial_evaluation():
     rng = random.Random(79)
     for code in (build(8, 2, 5, 1), build(10, 2, 7, 2), build(10, 5, 8, 1, "gf256")):
         _data, M, C = encode_random(code, rng)
-        p, f = code.params, code.field
+        p, f = code.params, oracle(code.field)
         for idx in range(p.n):
             lam = code.lam[idx]
             for i in range(p.dbar):
@@ -178,7 +179,7 @@ def test_local_polys_agree_with_rows_on_own_rack():
     # covers u0 = 0 (empty first index class) and u0 > 0
     for code in (build(8, 2, 5, 1), build(12, 3, 6, 1), build(10, 2, 7, 2), *PRODUCTION):
         _, M, C = encode_random(code, rng)
-        p, f = code.params, code.field
+        p, f = code.params, oracle(code.field)
         for e in range(p.nbar):
             polys = local_polys(code, e, M)
             for g in range(p.u):
@@ -191,7 +192,7 @@ def test_local_polys_rack_zero_is_plain_column_sums():
     rng = random.Random(97)
     code = build(10, 2, 7, 2)
     _, M, _ = encode_random(code, rng)
-    p, f = code.params, code.field
+    p, f = code.params, oracle(code.field)
     polys = local_polys(code, 0, M)
     for i in range(p.dbar):
         for j in range(p.u):
@@ -227,7 +228,7 @@ def test_leading_vector_two_node_closed_form():
     rng = random.Random(103)
     code = build(8, 2, 5, 1)
     _, _, C = encode_random(code, rng)
-    p, f = code.params, code.field
+    p, f = code.params, oracle(code.field)
     e = 2
     cols = stored_columns(code, C, e)
     x0, x1 = code.lam[p.node_index(e, 0)], code.lam[p.node_index(e, 1)]
@@ -244,7 +245,7 @@ def test_transport_identity_exact():
     rng = random.Random(107)
     for code in (build(8, 2, 5, 1), build(10, 2, 7, 2), build(12, 3, 8, 2), *PRODUCTION):
         _, M, C = encode_random(code, rng)
-        p, f = code.params, code.field
+        p, f = code.params, oracle(code.field)
         assert mbr_codeword_check(code, M, C)
         S = Matrix.from_rows(symmetric_block(p, M).tolist())
         V = Matrix.from_rows(
@@ -259,7 +260,7 @@ def test_transport_breaks_under_mutation():
     rng = random.Random(109)
     code = build(8, 2, 5, 1)
     _, M, C = encode_random(code, rng)
-    C[0, 3] = code.field.add(int(C[0, 3]), 1)  # perturb one stored symbol
+    C[0, 3] = oracle(code.field).add(C[0, 3], 1)  # perturb one stored symbol
     assert not mbr_codeword_check(code, M, C)
 
 
@@ -277,7 +278,7 @@ def test_symmetry_transport_between_rack_pairs():
     rng = random.Random(127)
     code = build(10, 2, 7, 2)
     _, M, _ = encode_random(code, rng)
-    p, f = code.params, code.field
+    p, f = code.params, oracle(code.field)
     S = symmetric_block(p, M).tolist()
     for a in range(p.nbar):
         for b in range(p.nbar):
@@ -313,7 +314,7 @@ def test_helper_response_matches_block_inner_product():
     rng = random.Random(137)
     code = build(10, 2, 7, 2)
     _, M, C = encode_random(code, rng)
-    p, f = code.params, code.field
+    p, f = code.params, oracle(code.field)
     S = symmetric_block(p, M).tolist()
     for helper in range(1, p.nbar):
         got = response(code, C, helper, 0)
@@ -401,7 +402,7 @@ def test_reconstruct_full_supply_and_extras_checked():
     everything = [(i, C[:, i].tolist()) for i in range(p.n)]
     assert code.reconstruct(everything) == data
     corrupted = [(i, list(col)) for i, col in everything]
-    corrupted[p.n - 1][1][0] = code.field.add(corrupted[p.n - 1][1][0], 1)
+    corrupted[p.n - 1][1][0] = oracle(code.field).add(corrupted[p.n - 1][1][0], 1)
     with pytest.raises(VerificationError):
         code.reconstruct(corrupted)
 
@@ -420,7 +421,7 @@ def test_reconstruct_structure_check_catches_corruption():
     _, _, C = encode_random(code, rng)
     p = code.params
     cols = [(i, list(C[:, i].tolist())) for i in range(p.k)]
-    cols[0][1][1] = code.field.add(cols[0][1][1], 3)
+    cols[0][1][1] = oracle(code.field).add(cols[0][1][1], 3)
     with pytest.raises(VerificationError):
         code.reconstruct(cols)
 
@@ -439,25 +440,25 @@ MAP_SHAPES = (
 @pytest.mark.parametrize("p,field", MAP_SHAPES)
 def test_reconstruct_maps_equal_their_definitions(p, field):
     code = MbrrCode.build(p, field)
-    F = field
+    F, O = field, oracle(field)
     weights, gaps, base = code.reconstruct_maps
-    lam = code.lam
+    lam = code.lam.tolist()
     for c, x in enumerate(lam):
         prod = 1
         for l, y in enumerate(lam):
             if l != c:
-                prod = F.mul(prod, F.sub(x, y))
-        assert int(weights[c]) == F.inv(prod)
+                prod = O.mul(prod, O.sub(x, y))
+        assert int(weights[c]) == O.inv(prod)
     for c, x in enumerate(lam[: p.k]):
         prod = 1
         for l, y in enumerate(lam[: p.k]):
             if l != c:
-                prod = F.mul(prod, F.sub(x, y))
+                prod = O.mul(prod, O.sub(x, y))
         assert int(gaps[c]) == prod
     # the n - k check rows v_c * lam[c]**t annihilate every row of C, and
     # ``base`` inverts Lambda transposed (``powers``) on nodes 0 ... k-1
     checks = np.array(
-        [[F.mul(int(weights[c]), F.pow(x, t)) for c, x in enumerate(lam)] for t in range(p.n - p.k)],
+        [[O.mul(weights[c], O.pow(x, t)) for c, x in enumerate(lam)] for t in range(p.n - p.k)],
         dtype=F.np_dtype,
     )
     rng = np.random.default_rng(p.n)
@@ -528,7 +529,7 @@ def test_reconstruct_of_many_nodes_and_small_k(p, field):
     ):
         got = code.reconstruct_stripes(nodes, body[nodes].reshape(-1, 3))
         assert (got == data).all()
-    body[p.n - 1, 0, 2] = field.add(int(body[p.n - 1, 0, 2]), 1)
+    body[p.n - 1, 0, 2] = oracle(field).add(body[p.n - 1, 0, 2], 1)
     with pytest.raises(VerificationError, match="first at stripe 2$"):
         code.reconstruct_stripes(list(range(p.n)), body.reshape(-1, 3))
 
